@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics, network, svgplot
+from . import metrics, network, svgplot, tensor
 from .continual import (
     RegimePlan,
     build_regime,
@@ -199,15 +199,17 @@ def dump_config(config: ExperimentConfig) -> str:
 
 
 def config_digest(config: ExperimentConfig) -> str:
-    """Hash over everything that shapes a single run's trajectory; the
-    sweep lists and output location are excluded so run ids stay stable
-    across sweeps and output directories."""
+    """Hash over everything that shapes a single run's trajectory, the
+    numeric core's version included; the sweep lists and output location
+    are excluded so run ids stay stable across sweeps and output
+    directories."""
     skip = {"regimes", "lambdas", "seeds", "out_dir"}
     lines = [
         f"{f.name}={getattr(config, f.name)}"
         for f in dataclass_fields(config)
         if f.name not in skip
     ]
+    lines.append(f"core_version={tensor.CORE_VERSION}")
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
 

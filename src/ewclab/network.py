@@ -10,6 +10,7 @@ Fisher diagonal and anchor snapshots align to it.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
@@ -279,23 +280,34 @@ def _write_entry(fh, name: str, values: Array) -> None:
 
 
 def save_checkpoint(store: ParamStore, path, metadata: dict[str, str] | None = None, fisher=None) -> None:
-    """Write a bit-exact checkpoint; optionally embeds a Fisher payload."""
+    """Write a bit-exact checkpoint; optionally embeds a Fisher payload.
+
+    The bytes go to a temporary file beside ``path`` that then replaces
+    it, so a save that fails or is interrupted leaves any earlier file at
+    ``path`` as it was.
+    """
     if store.spec is None:
         raise FormatError("cannot checkpoint a store without a network spec")
-    metadata = dict(metadata or {})
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<B", CHECKPOINT_VERSION))
-        header = _dump_header(store.spec, len(store), metadata, fisher)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for name, arr in store.items():
-            _write_entry(fh, name, arr)
-        if fisher is not None:
-            fh.write(FISHER_SENTINEL)
-            fh.write(struct.pack("<I", len(fisher.entry_table)))
-            for name, values in fisher.to_entries():
-                _write_entry(fh, name, values)
+    header = _dump_header(store.spec, len(store), metadata or {}, fisher)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<B", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<I", len(header)))
+            fh.write(header)
+            for name, arr in store.items():
+                _write_entry(fh, name, arr)
+            if fisher is not None:
+                fh.write(FISHER_SENTINEL)
+                fh.write(struct.pack("<I", len(fisher.entry_table)))
+                for name, values in fisher.to_entries():
+                    _write_entry(fh, name, values)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 class _Reader:

@@ -1,11 +1,14 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The design is a recording tape: every :class:`Tensor` is a node on a
-:class:`Graph`, created either as a leaf (named parameter or unnamed
-constant) or as the output of a primitive operation.  A backward pass
-walks the tape in reverse creation order, which is always a valid
-topological order, and accumulates gradients into fixed-order buffers so
-repeated passes are bit-identical.
+Every :class:`Tensor` is a node of one :class:`Graph`, created either as a
+leaf (named parameter or unnamed constant) or as the output of a
+primitive operation that keeps its parents and its backward rule.  The
+graph itself holds no operation nodes: it numbers nodes in creation order
+and lists its named leaves, so a step's arrays are freed as soon as its
+loss is dropped.  A backward pass walks the nodes reachable from the loss
+in descending creation number, which is always a valid topological order,
+and accumulates gradients into fixed-order buffers so repeated passes are
+bit-identical.
 
 Only the operations a small patch-based segmentation network needs are
 provided; there is no broadcasting, no GPU path and no higher-order
@@ -24,19 +27,31 @@ Array = np.ndarray
 # Maps parameter name -> gradient array, shape-matching the parameter.
 GradientMap = dict[str, Array]
 
+# Version of the numeric core.  Run ids hash it, so bump it whenever a
+# change can alter the bits a training run produces (such as a kernel's
+# summation order): an output directory then never mixes runs of two cores.
+CORE_VERSION = 2
+
 
 class Graph:
-    """Recording tape of tensor nodes in creation order."""
+    """Creation counter and named leaves of one computation.
+
+    Operation nodes are reachable only from their children, never from
+    the graph, so nothing keeps a dropped loss's arrays alive.
+    """
 
     def __init__(self):
-        self.nodes: list[Tensor] = []
+        self._count = 0
+        self._params: list[Tensor] = []
 
     def _register(self, node: "Tensor") -> int:
-        self.nodes.append(node)
-        return len(self.nodes) - 1
+        if node.name is not None:
+            self._params.append(node)
+        self._count += 1
+        return self._count - 1
 
     def parameters(self) -> list["Tensor"]:
-        return [n for n in self.nodes if n.name is not None]
+        return list(self._params)
 
 
 class Tensor:
@@ -81,7 +96,8 @@ class Tensor:
         vjp: Callable[[Array], tuple[Array, ...]],
     ) -> "Tensor":
         """Result node of a primitive; ``vjp(grad_out)`` returns one
-        gradient per parent, in parent order."""
+        gradient per parent, in parent order, or None for a parent that
+        takes no gradient."""
         parents = tuple(parents)
         graph = parents[0].graph
         for p in parents[1:]:
@@ -103,17 +119,31 @@ def backward(loss: Tensor) -> GradientMap:
     on the loss's graph.
 
     Parameters registered on the graph but not reachable from the loss get
-    an all-zero gradient.  Accumulation follows reverse creation order, so
-    two passes over identical inputs are bit-identical.
+    an all-zero gradient.  Accumulation visits the nodes reachable from the
+    loss in descending creation number, so two passes over identical
+    inputs are bit-identical.
     """
     if loss.values.shape != ():
         raise ContractError(f"loss must be a scalar, got shape {loss.values.shape}")
+    reachable = {loss.node_id: loss}
+    stack = [loss]
+    while stack:
+        for parent in stack.pop().parents:
+            if parent.node_id not in reachable:
+                reachable[parent.node_id] = parent
+                stack.append(parent)
     buffers: dict[int, Array] = {loss.node_id: np.ones((), dtype=np.float64)}
-    for node in reversed(loss.graph.nodes):
-        grad = buffers.get(node.node_id)
-        if grad is None or not node.parents:
+    for node_id in sorted(reachable, reverse=True):
+        node = reachable[node_id]
+        if not node.parents:
+            continue
+        # an operation's buffer is dead once its vjp has consumed it
+        grad = buffers.pop(node_id, None)
+        if grad is None:
             continue
         for parent, pgrad in zip(node.parents, node.vjp(grad)):
+            if pgrad is None:
+                continue
             acc = buffers.get(parent.node_id)
             if acc is None:
                 buffers[parent.node_id] = np.array(pgrad, dtype=np.float64)
@@ -148,7 +178,8 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     (kernels are not flipped).
 
     x: [C,H,W], kernels: [O,C,K,K] with odd square K, bias: [O];
-    output [O, H-K+1, W-K+1].
+    output [O, H-K+1, W-K+1].  An unnamed leaf ``x`` is a constant: the
+    backward rule returns None for it and never computes its gradient.
     """
     if x.values.ndim != 3 or kernels.values.ndim != 4:
         raise DimensionError(
@@ -166,24 +197,38 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError(f"conv2d bias shape {bias.shape} != ({o},)")
     k = kh
     hp, wp = h - k + 1, w - k + 1
-
-    xv = x.values
-    wins = np.lib.stride_tricks.sliding_window_view(xv, (k, k), axis=(1, 2))
-    cols = np.ascontiguousarray(wins.transpose(1, 2, 0, 3, 4)).reshape(hp * wp, c * k * k)
+    # "Wide" rows: with x flattened to [C, H*W], tap (i, j) of output row r
+    # starts at r*W + i*W + j, so each tap over all rows is one contiguous
+    # slice.  Each wide output row has W columns; its last K-1 straddle two
+    # input rows and are dropped.  The last tap's slice must end inside x,
+    # so the final K-1 wide columns (dropped ones) read zeros instead.
+    n = hp * w
+    span = n - (k - 1)
+    xf = x.values.reshape(c, h * w)
+    taps = np.empty((c, k * k, n))
+    taps[:, :, span:] = 0.0
+    for i in range(k):
+        for j in range(k):
+            taps[:, i * k + j, :span] = xf[:, i * w + j : i * w + j + span]
+    taps = taps.reshape(c * k * k, n)
     kmat = kernels.values.reshape(o, c * k * k)
-    out = (cols @ kmat.T).T.reshape(o, hp, wp) + bias.values[:, None, None]
+    out = (kmat @ taps).reshape(o, hp, w)[:, :, :wp] + bias.values[:, None, None]
+    wants_dx = x.name is not None or bool(x.parents)
 
-    def vjp(g: Array) -> tuple[Array, Array, Array]:
-        gmat = g.reshape(o, hp * wp)
-        dk = (gmat @ cols).reshape(o, c, k, k)
+    def vjp(g: Array) -> tuple[Array | None, Array, Array]:
+        g_wide = np.zeros((o, hp, w))
+        g_wide[:, :, :wp] = g
+        g_wide = g_wide.reshape(o, n)
+        dk = (g_wide @ taps.T).reshape(o, c, k, k)
         db = g.sum(axis=(1, 2))
-        gp = np.pad(g, ((0, 0), (k - 1, k - 1), (k - 1, k - 1)))
-        gwins = np.lib.stride_tricks.sliding_window_view(gp, (k, k), axis=(1, 2))
-        gcols = np.ascontiguousarray(gwins.transpose(1, 2, 0, 3, 4)).reshape(h * w, o * k * k)
-        kflip = kernels.values[:, :, ::-1, ::-1]
-        kcols = np.ascontiguousarray(kflip.transpose(0, 2, 3, 1)).reshape(o * k * k, c)
-        dx = (gcols @ kcols).T.reshape(c, h, w)
-        return dx, dk, db
+        if not wants_dx:
+            return None, dk, db
+        dtaps = (kmat.T @ g_wide).reshape(c, k * k, n)
+        dx = np.zeros((c, h * w))
+        for i in range(k):
+            for j in range(k):
+                dx[:, i * w + j : i * w + j + span] += dtaps[:, i * k + j, :span]
+        return dx.reshape(c, h, w), dk, db
 
     return Tensor.op(out, (x, kernels, bias), vjp)
 

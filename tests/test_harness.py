@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ewclab import network
+from ewclab import network, tensor
 from ewclab.continual import FisherDiagonal, FisherProvenance, build_regime
 from ewclab.errors import ConfigError, ContractError, DivergenceError
 from ewclab.harness import (
@@ -120,6 +120,12 @@ class TestConfig:
         b = tiny_config(tmp_path / "two")
         assert config_digest(a) == config_digest(b)
         assert run_id("dm-a", 0.0, 1, a) == run_id("dm-a", 0.0, 1, b)
+
+    def test_run_id_changes_with_core_version(self, tmp_path, monkeypatch):
+        config = tiny_config(tmp_path)
+        before = run_id("ewc", 150.0, 1, config)
+        monkeypatch.setattr(tensor, "CORE_VERSION", tensor.CORE_VERSION + 1)
+        assert run_id("ewc", 150.0, 1, config) != before
 
 
 class TestTrainLoop:

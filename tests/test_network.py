@@ -201,6 +201,33 @@ class TestCheckpoint:
         assert ckpt.fisher.provenance.samples == 32
         assert ckpt.metadata == {"regime": "dm-a"}
 
+    def test_failed_save_keeps_the_file_it_would_replace(self, tmp_path):
+        from types import SimpleNamespace
+
+        from ewclab.continual import FisherProvenance
+
+        store = init_network(small_spec(), seed=7)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(store, path, metadata={"regime": "dm-a"})
+        before = path.read_bytes()
+        with pytest.raises(FormatError, match="reserved"):
+            save_checkpoint(store, path, metadata={"trunk": "x"})
+
+        # a failure after writing started leaves the old file too
+        def broken_entries():
+            raise OSError("disk gone")
+
+        fisher = SimpleNamespace(
+            provenance=FisherProvenance("train_a", "taskA", "empirical", 1),
+            entry_table=store.entry_table(),
+            to_entries=broken_entries,
+        )
+        with pytest.raises(OSError, match="disk gone"):
+            save_checkpoint(store, path, fisher=fisher)
+        assert path.read_bytes() == before
+        assert load_checkpoint(path).metadata == {"regime": "dm-a"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.ckpt"]
+
     def test_reserved_metadata_key_rejected(self, tmp_path):
         store = init_network(small_spec(), seed=7)
         with pytest.raises(FormatError, match="reserved"):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -119,6 +121,49 @@ class TestConv2d:
         expect = np.einsum("oc,chw->ohw", kv[:, :, 0, 0], xv)
         assert np.allclose(out, expect, atol=1e-12)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_all_gradients_match_finite_differences(self, k):
+        # training-like layer: several channels, a non-square map, and x
+        # as a named parameter so its input gradient is reported
+        rng = np.random.default_rng(21 + k)
+        params = {
+            "x": rng.normal(size=(4, 12, 11)),
+            "k": rng.normal(size=(5, 4, k, k)),
+            "b": rng.normal(size=5),
+        }
+        weights = rng.normal(size=(5, 13 - k, 12 - k))
+
+        def loss_fn():
+            g = Graph()
+            leaves = {name: Tensor.param(name, v, g) for name, v in params.items()}
+            out = conv2d(leaves["x"], leaves["k"], leaves["b"])
+            return sum_all(mul(out, Tensor.const(weights, g)))
+
+        grads = backward(loss_fn())
+        fd = finite_diff_grad(lambda: loss_fn().values, params)
+        for name in params:
+            assert rel_err(grads[name], fd[name]).max() < 1e-5, name
+
+    def test_constant_input_gets_no_gradient(self):
+        rng = np.random.default_rng(4)
+        xv = rng.normal(size=(3, 9, 8))
+        params = {"k": rng.normal(size=(2, 3, 3, 3)), "b": rng.normal(size=2)}
+        weights = rng.normal(size=(2, 7, 6))
+
+        def build():
+            g = Graph()
+            out = conv2d(Tensor.const(xv, g), Tensor.param("k", params["k"], g), Tensor.param("b", params["b"], g))
+            return out, sum_all(mul(out, Tensor.const(weights, g)))
+
+        out, loss = build()
+        dx, dk, db = out.vjp(weights)
+        assert dx is None
+        grads = backward(loss)
+        assert set(grads) == {"k", "b"}
+        fd = finite_diff_grad(lambda: build()[1].values, params)
+        for name in params:
+            assert rel_err(grads[name], fd[name]).max() < 1e-5, name
+
     def test_input_smaller_than_kernel(self):
         g = Graph()
         x = make(np.zeros((1, 2, 2)), graph=g)
@@ -218,9 +263,36 @@ class TestBackward:
         g = Graph()
         used = Tensor.param("used", np.array([3.0]), g)
         unused = Tensor.param("unused", np.array([[1.0, 2.0]]), g)
-        grads = backward(sum_all(mul(used, used)))
-        assert set(grads) == {"used", "unused"}
+        # an operation on a parameter that does not feed the loss
+        side = Tensor.param("side", np.array([5.0]), g)
+        mul(side, side)
+        loss = sum_all(mul(used, used))
+        late = Tensor.param("late", np.array([1.0, 1.0]), g)
+        grads = backward(loss)
+        assert set(grads) == {"used", "unused", "side", "late"}
         assert np.array_equal(grads["unused"], np.zeros((1, 2)))
+        assert np.array_equal(grads["side"], [0.0])
+        assert np.array_equal(grads["late"], [0.0, 0.0])
+        assert np.array_equal(grads["used"], [6.0])
+
+    def test_dropped_loss_frees_its_operations_without_the_cycle_collector(self):
+        rng = np.random.default_rng(8)
+        gc.disable()
+        try:
+            g = Graph()
+            leaves = {"k": Tensor.param("k", rng.normal(size=(2, 1, 3, 3)), g),
+                      "b": Tensor.param("b", np.zeros(2), g)}
+            hidden = relu(conv2d(Tensor.const(rng.normal(size=(1, 6, 6)), g), leaves["k"], leaves["b"]))
+            ref = weakref.ref(hidden.values)
+            loss = sum_all(hidden)
+            del hidden
+            backward(loss)
+            assert ref() is not None
+            del loss, leaves
+            # the graph is still alive and must not hold the node's array
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_non_scalar_loss_rejected(self):
         g = Graph()
