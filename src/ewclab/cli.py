@@ -16,7 +16,7 @@ from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 from . import harness, metrics, network
-from .continual import build_regime, canonical_regime, estimate_fisher
+from .continual import build_regime, canonical_regime
 from .errors import ConfigError, DivergenceError, EwcLabError, PrerequisiteError
 from .harness import (
     CSV_HEADER,
@@ -113,13 +113,7 @@ def cmd_fisher(args) -> int:
     ckpt = network.load_checkpoint(config.checkpoint)
     manifest, gen_config = load_data(config)
     bank = SampleBank(manifest, gen_config)
-    task = TASKS["a"]
-    data = harness.fisher_patches(bank.split("train_a"), task, config)
-    fisher = estimate_fisher(
-        ckpt.params, data, task.head, mode=config.fisher_mode,
-        rng_seed=harness.derive_seed(config.data_seed, "fisher", "labels"),
-        dataset_id="train_a",
-    )
+    fisher = harness.task_a_fisher(ckpt.params, bank.split("train_a"), config)
     out_path = args.out_checkpoint or config.checkpoint
     network.save_checkpoint(ckpt.params, out_path, metadata=ckpt.metadata, fisher=fisher)
     print(f"embedded fisher ({config.fisher_mode}, {fisher.provenance.samples} samples) into {out_path}")
@@ -181,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {
-        "generate-data": ("emit the synthetic dataset (binary records + manifest)", cmd_generate_data),
+        "generate-data": ("write the dataset manifest (samples regenerate from its seeds)", cmd_generate_data),
         "train": ("execute a single training run", cmd_train),
         "fisher": ("estimate the Fisher diagonal and embed it into a checkpoint", cmd_fisher),
         "evaluate": ("full-image validation scores for a checkpoint", cmd_evaluate),

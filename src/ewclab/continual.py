@@ -21,7 +21,7 @@ from . import network
 from .errors import AlignmentError, ContractError, DataError, PrerequisiteError
 from .network import NetworkSpec, ParamStore
 from .synthtasks import TASK_A, TASK_B
-from .tensor import Graph, Tensor, add, backward, log_softmax, nll_loss, reshape
+from .tensor import Graph, Tensor, backward, log_softmax, nll_loss, reshape
 
 Array = np.ndarray
 
@@ -40,7 +40,7 @@ class FisherProvenance:
 class FisherDiagonal:
     """Per-parameter non-negative importances, flat-aligned to the store
     they were estimated on.  Parameters added later (new heads) have no
-    entry; lookups for them return zero."""
+    entry, so their importance is zero."""
 
     def __init__(self, values: Array, entry_table: EntryTable, provenance: FisherProvenance):
         self.values = np.asarray(values, dtype=np.float64)
@@ -56,15 +56,6 @@ class FisherDiagonal:
 
     def __len__(self) -> int:
         return self.values.size
-
-    def lookup(self, name: str) -> Array | None:
-        """Entry-shaped slice, or None for parameters without an entry
-        (their importance is implicitly zero)."""
-        for entry_name, shape, offset in self.entry_table:
-            if entry_name == name:
-                size = int(np.prod(shape, dtype=np.int64))
-                return self.values[offset : offset + size].reshape(shape)
-        return None
 
     def to_entries(self) -> Iterator[tuple[str, Array]]:
         for name, shape, offset in self.entry_table:
@@ -84,8 +75,9 @@ class FisherDiagonal:
         return cls(flat, tuple(table), provenance)
 
     @classmethod
-    def ones_like(cls, store: ParamStore, provenance: FisherProvenance | None = None) -> "FisherDiagonal":
-        prov = provenance or FisherProvenance(dataset_id="", head="", mode="l2", samples=0)
+    def ones_like(cls, store: ParamStore) -> "FisherDiagonal":
+        """Unit importances: the plain L2 anchor."""
+        prov = FisherProvenance(dataset_id="", head="", mode="l2", samples=0)
         return cls(np.ones(store.total_params), tuple(store.entry_table()), prov)
 
 
@@ -210,54 +202,12 @@ def estimate_fisher(
 
 
 # ---------------------------------------------------------------------------
-# anchored penalty and total objective
+# anchored penalty
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RegularizerConfig:
-    """mode 'none': no penalty.  mode 'l2': unit importances.  mode 'ewc':
-    Fisher importances.  Both anchored modes need an anchor snapshot; l2
-    builds its all-ones importance vector from it."""
-
-    mode: str = "none"
-    lam: float = 0.0
-    fisher_mode: str = "empirical"
-    anchor: AnchorParams | None = None
-    fisher: FisherDiagonal | None = None
-
-    def validate(self) -> None:
-        if self.mode not in ("none", "l2", "ewc"):
-            raise ContractError(f"unknown regularizer mode {self.mode!r}")
-        if self.lam < 0:
-            raise ContractError(f"lambda must be non-negative, got {self.lam}")
-        if self.mode == "none":
-            return
-        if self.anchor is None:
-            raise ContractError(f"mode {self.mode!r} needs an anchor snapshot")
-        if self.mode == "ewc" and self.fisher is None:
-            raise ContractError("mode 'ewc' needs a FisherDiagonal")
-
-    def effective_fisher(self) -> FisherDiagonal:
-        if self.mode == "l2":
-            if self.fisher is None:
-                self.fisher = FisherDiagonal(
-                    np.ones(len(self.anchor)),
-                    self.anchor.entry_table,
-                    FisherProvenance("", "", "l2", 0),
-                )
-            return self.fisher
-        return self.fisher
-
-
-def _as_leaves(params: Mapping[str, Tensor] | ParamStore) -> Mapping[str, Tensor]:
-    if isinstance(params, ParamStore):
-        return network.leaf_tensors(params, Graph())
-    return params
-
-
 def ewc_penalty(
-    params: Mapping[str, Tensor] | ParamStore,
+    leaves: Mapping[str, Tensor],
     anchor: AnchorParams,
     fisher: FisherDiagonal,
     lam: float,
@@ -273,7 +223,6 @@ def ewc_penalty(
             if (fn, fs, fo) != (an, a_s, ao):
                 raise AlignmentError(f"fisher/anchor entry mismatch at {an!r}")
         raise AlignmentError("fisher and anchor entry tables differ in length")
-    leaves = _as_leaves(params)
     lam = float(lam)
 
     anchored: list[tuple[Tensor, Array, Array]] = []
@@ -296,20 +245,6 @@ def ewc_penalty(
         return tuple(g * 2.0 * lam * f * (leaf.values - a) for leaf, a, f in anchored)
 
     return Tensor.op(np.asarray(total), [leaf for leaf, _, _ in anchored], vjp)
-
-
-def total_loss(
-    task_loss: Tensor,
-    reg: RegularizerConfig,
-    params: Mapping[str, Tensor] | ParamStore,
-) -> Tensor:
-    """task loss plus the anchored penalty; with mode 'none' the task
-    loss is returned unchanged (bitwise)."""
-    reg.validate()
-    if reg.mode == "none":
-        return task_loss
-    penalty = ewc_penalty(params, reg.anchor, reg.effective_fisher(), reg.lam)
-    return add(task_loss, penalty)
 
 
 # ---------------------------------------------------------------------------
@@ -339,19 +274,21 @@ def canonical_regime(kind: str) -> str:
 @dataclass
 class RegimePlan:
     """Executable description of one run: where parameters come from,
-    which head to add, which splits may be streamed, and the regularizer."""
+    which head to add, which splits may be streamed, and the anchored
+    penalty.  ``anchor`` and ``fisher`` are set for l2 (unit importances)
+    and ewc, and None for every unregularized regime."""
 
     kind: str
     lam: float
     seed: int
     scratch_spec: NetworkSpec | None  # from-scratch regimes
     checkpoint: "network.Checkpoint | None"  # sequential regimes
-    checkpoint_path: str | None
     attach: tuple[str, int] | None
     train_tasks: tuple[str, ...]
     eval_tasks: tuple[str, ...]
     input_splits: tuple[str, ...]
-    reg: RegularizerConfig
+    anchor: AnchorParams | None = None
+    fisher: FisherDiagonal | None = None
 
 
 def build_regime(
@@ -366,33 +303,33 @@ def build_regime(
 
     Sequential kinds (finetune, l2, ewc) need an existing task-A
     checkpoint; ewc additionally needs its embedded Fisher payload.
-    Missing prerequisites raise :class:`PrerequisiteError`.
+    Missing prerequisites raise :class:`PrerequisiteError`; a negative or
+    non-finite lambda raises :class:`ContractError`.
     """
     kind = canonical_regime(kind)
     lam = float(lam)
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ContractError(f"lambda must be finite and non-negative, got {lam}")
 
     def spec_for(heads: dict[str, int]) -> NetworkSpec:
         return NetworkSpec(in_channels=in_channels, trunk=tuple(trunk), heads=heads)
 
     if kind == "dm-a":
         return RegimePlan(
-            kind, 0.0, seed, spec_for({TASK_A.head: TASK_A.n_classes}), None, None, None,
-            train_tasks=("a",), eval_tasks=("a",),
-            input_splits=("train_a", "validation"), reg=RegularizerConfig("none"),
+            kind, 0.0, seed, spec_for({TASK_A.head: TASK_A.n_classes}), None, None,
+            train_tasks=("a",), eval_tasks=("a",), input_splits=("train_a", "validation"),
         )
     if kind == "dm-b":
         return RegimePlan(
-            kind, 0.0, seed, spec_for({TASK_B.head: TASK_B.n_classes}), None, None, None,
-            train_tasks=("b",), eval_tasks=("b",),
-            input_splits=("train_b", "validation"), reg=RegularizerConfig("none"),
+            kind, 0.0, seed, spec_for({TASK_B.head: TASK_B.n_classes}), None, None,
+            train_tasks=("b",), eval_tasks=("b",), input_splits=("train_b", "validation"),
         )
     if kind == "multitask":
         return RegimePlan(
             kind, 0.0, seed,
-            spec_for({TASK_A.head: TASK_A.n_classes, TASK_B.head: TASK_B.n_classes}),
-            None, None, None,
+            spec_for({TASK_A.head: TASK_A.n_classes, TASK_B.head: TASK_B.n_classes}), None, None,
             train_tasks=("a", "b"), eval_tasks=("a", "b"),
-            input_splits=("train_a", "train_b", "validation"), reg=RegularizerConfig("none"),
+            input_splits=("train_a", "train_b", "validation"),
         )
 
     # sequential regimes start from the task-A checkpoint
@@ -405,24 +342,18 @@ def build_regime(
         raise PrerequisiteError(
             f"checkpoint {checkpoint_path!r} has no {TASK_A.head!r} head; not a task-A checkpoint"
         )
-    anchor = AnchorParams.from_store(ckpt.params)
-    if kind == "finetune":
-        reg = RegularizerConfig("none")
-    elif kind == "l2":
-        reg = RegularizerConfig("l2", lam=lam, anchor=anchor)
-    else:  # ewc
-        if ckpt.fisher is None:
-            raise PrerequisiteError(
-                f"regime 'ewc' needs a Fisher payload inside {checkpoint_path!r}; "
-                "run the fisher step on the task-A checkpoint first"
-            )
-        reg = RegularizerConfig(
-            "ewc", lam=lam, fisher_mode=ckpt.fisher.provenance.mode,
-            anchor=anchor, fisher=ckpt.fisher,
+    if kind == "ewc" and ckpt.fisher is None:
+        raise PrerequisiteError(
+            f"regime 'ewc' needs a Fisher payload inside {checkpoint_path!r}; "
+            "run the fisher step on the task-A checkpoint first"
         )
+    anchor = fisher = None
+    if kind in ("l2", "ewc"):
+        anchor = AnchorParams.from_store(ckpt.params)
+        fisher = FisherDiagonal.ones_like(ckpt.params) if kind == "l2" else ckpt.fisher
     return RegimePlan(
-        kind, lam, seed, None, ckpt, checkpoint_path,
+        kind, lam, seed, None, ckpt,
         attach=(TASK_B.head, TASK_B.n_classes),
-        train_tasks=("b",), eval_tasks=("a", "b"),
-        input_splits=("train_b", "validation"), reg=reg,
+        train_tasks=("b",), eval_tasks=("a", "b"), input_splits=("train_b", "validation"),
+        anchor=anchor, fisher=fisher,
     )

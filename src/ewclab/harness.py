@@ -18,6 +18,7 @@ import numpy as np
 
 from . import metrics, network, svgplot, tensor
 from .continual import (
+    FisherDiagonal,
     RegimePlan,
     build_regime,
     canonical_regime,
@@ -25,7 +26,7 @@ from .continual import (
     ewc_penalty,
 )
 from .errors import ConfigError, ContractError, DivergenceError
-from .network import init_network, leaf_tensors, output_margin, sgd_update
+from .network import ParamStore, init_network, leaf_tensors, output_margin, sgd_update
 from .synthtasks import (
     TASKS,
     GeneratorConfig,
@@ -129,6 +130,9 @@ class ExperimentConfig:
             raise ConfigError("config key 'patch_size' exceeds 'image_size'")
         if not self.seeds:
             raise ConfigError("config key 'seeds' must not be empty")
+        for lam in self.lambdas:
+            if not (np.isfinite(lam) and lam >= 0):
+                raise ConfigError(f"config key 'lambda' must be finite and non-negative, got {lam:g}")
         for kind in self.regimes:
             canonical_regime(kind)
         for kind in self.regimes:
@@ -440,8 +444,6 @@ def train(
 
     train_images = {task.task_id: data.split(TASK_SPLIT[task.task_id]) for task in tasks}
     velocity: dict[str, Array] = {}
-    reg = plan.reg
-    reg.validate()
 
     for epoch in range(1, config.epochs + 1):
         per_task_batches = {
@@ -466,10 +468,9 @@ def train(
                     _mean_patch_loss(leaves, spec, train_images[task.task_id], batch, task, config, margin)
                 )
             task_loss = task_losses[0] if len(task_losses) == 1 else add(task_losses[0], task_losses[1])
-            if reg.mode == "none":
-                total = task_loss
-            else:
-                total = add(task_loss, ewc_penalty(leaves, reg.anchor, reg.effective_fisher(), reg.lam))
+            total = task_loss
+            if plan.fisher is not None:
+                total = add(task_loss, ewc_penalty(leaves, plan.anchor, plan.fisher, plan.lam))
             total_value = float(total.values)
             if not np.isfinite(total_value):
                 raise DivergenceError(epoch, step)
@@ -488,17 +489,7 @@ def train(
             store, task.head, task, validation, "full", epoch=config.epochs, tile=config.tile
         )
 
-    fisher = None
-    if plan.kind == "dm-a":
-        fisher_data = fisher_patches(data.split("train_a"), TASKS["a"], config)
-        fisher = estimate_fisher(
-            store,
-            fisher_data,
-            TASKS["a"].head,
-            mode=config.fisher_mode,
-            rng_seed=derive_seed(config.data_seed, "fisher", "labels"),
-            dataset_id="train_a",
-        )
+    fisher = task_a_fisher(store, data.split("train_a"), config) if plan.kind == "dm-a" else None
     ckpt_final = run_dir / "final.ckpt"
     network.save_checkpoint(store, ckpt_final, metadata={**meta, "epoch": str(config.epochs)}, fisher=fisher)
 
@@ -540,6 +531,21 @@ def fisher_patches(images: list[ScanSample], task: TaskDef, config: ExperimentCo
     return out
 
 
+def task_a_fisher(store: ParamStore, images: list[ScanSample], config: ExperimentConfig) -> FisherDiagonal:
+    """The task-A importance estimate that dm-a runs embed in their final
+    checkpoint and ``ewclab fisher`` recomputes: seed-determined patches
+    and, in sampled mode, seed-determined labels."""
+    task = TASKS["a"]
+    return estimate_fisher(
+        store,
+        fisher_patches(images, task, config),
+        task.head,
+        mode=config.fisher_mode,
+        rng_seed=derive_seed(config.data_seed, "fisher", "labels"),
+        dataset_id="train_a",
+    )
+
+
 # ---------------------------------------------------------------------------
 # run directory layout
 # ---------------------------------------------------------------------------
@@ -563,8 +569,6 @@ def _write_run_dir(record: RunRecord, config: ExperimentConfig, run_dir: Path) -
                 f"lambda={record.lam:g}",
                 f"seed={record.seed}",
                 f"splits_used={','.join(record.splits_used)}",
-                f"checkpoint_epoch0={record.checkpoint_epoch0}",
-                f"checkpoint_final={record.checkpoint_final}",
                 f"duration_s={record.duration_s:.3f}",
             ]
         )
@@ -574,7 +578,9 @@ def _write_run_dir(record: RunRecord, config: ExperimentConfig, run_dir: Path) -
 
 
 def load_run_record(run_dir: str | Path) -> RunRecord:
-    """Rebuild a record from a completed run directory (idempotent skip)."""
+    """Rebuild a record from a completed run directory (idempotent skip).
+    Checkpoint paths are derived from ``run_dir``, so a moved output
+    directory still resolves them; unread record.txt keys are ignored."""
     run_dir = Path(run_dir)
     fields_txt = {}
     for line in (run_dir / "record.txt").read_text().splitlines():
@@ -588,8 +594,8 @@ def load_run_record(run_dir: str | Path) -> RunRecord:
         lam=float(fields_txt["lambda"]),
         seed=int(fields_txt["seed"]),
         rows=rows,
-        checkpoint_epoch0=fields_txt["checkpoint_epoch0"],
-        checkpoint_final=fields_txt["checkpoint_final"],
+        checkpoint_epoch0=str(run_dir / "epoch0.ckpt"),
+        checkpoint_final=str(run_dir / "final.ckpt"),
         splits_used=tuple(s for s in fields_txt["splits_used"].split(",") if s),
         duration_s=float(fields_txt["duration_s"]),
     )
@@ -624,8 +630,6 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
         t.task_id: build_eval_patches(bank.split("validation"), t, config)
         for t in TASKS.values()
     }
-    # building shared eval patches touches 'validation' outside any plan
-    bank.accessed.clear()
 
     records: list[RunRecord] = []
     failures: list[str] = []

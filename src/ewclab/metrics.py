@@ -129,7 +129,6 @@ def evaluate_model(
     scope: str,
     epoch: int = 0,
     tile: int = 0,
-    include_background: bool = False,
 ) -> list[DiceRecord]:
     """Pooled per-class Dice over a sample set.
 
@@ -152,18 +151,10 @@ def evaluate_model(
             pred = predict_full(store, head, sample.channels, tile=tile)
             truth = interior(task.labels_of(sample), margin)
         counts.add(ConfusionCounts.from_maps(pred, truth, task.n_classes))
-    first = 0 if include_background else 1
     records = []
-    for class_id in range(first, task.n_classes):
+    for class_id in range(1, task.n_classes):
         value = counts.dice(class_id)
         if value is not None:
             records.append(DiceRecord(task.task_id, task.class_names[class_id], value, scope, epoch))
     return records
 
-
-def aggregate_curves(records: list[DiceRecord]) -> list[tuple[int, str, str, float]]:
-    """Long-format (epoch, task, class, dice) rows sorted by
-    (task, class, epoch)."""
-    rows = [(r.epoch, r.task, r.class_name, r.dice) for r in records if r.dice is not None]
-    rows.sort(key=lambda row: (row[1], row[2], row[0]))
-    return rows

@@ -119,9 +119,6 @@ class ParamStore(Mapping[str, Array]):
             return np.zeros(0)
         return np.concatenate([a.reshape(-1) for a in self._entries.values()])
 
-    def clone(self) -> "ParamStore":
-        return ParamStore(self._entries, spec=self.spec.copy() if self.spec else None)
-
 
 def _he_kernels(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Array:
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)

@@ -186,10 +186,6 @@ class SplitManifest:
         except AttributeError:
             raise DataError(f"unknown split {split!r}") from None
 
-    @property
-    def all_seeds(self) -> tuple[int, ...]:
-        return self.train_a + self.train_b + self.validation
-
 
 def make_splits(counts: tuple[int, int, int], master_seed: int) -> SplitManifest:
     """Pairwise-disjoint deterministic seed lists; validation serves both
@@ -218,22 +214,11 @@ def make_splits(counts: tuple[int, int, int], master_seed: int) -> SplitManifest
 
 
 # ---------------------------------------------------------------------------
-# on-disk dataset: manifest + flat binary records, plus PGM/PPM export
+# on-disk dataset: the manifest, plus PGM/PPM previews
 # ---------------------------------------------------------------------------
-#
-# record layout (little-endian): seed u64, channels 2*H*W float64,
-# labels_a H*W u8, labels_b H*W u8.
 
-SPLIT_FILES = {"train_a": "train_a.bin", "train_b": "train_b.bin", "validation": "validation.bin"}
-
-
-def _sample_record(sample: ScanSample) -> bytes:
-    return (
-        np.uint64(sample.seed).tobytes()
-        + sample.channels.astype("<f8").tobytes()
-        + sample.labels_a.astype(np.uint8).tobytes()
-        + sample.labels_b.astype(np.uint8).tobytes()
-    )
+# split order in the manifest and the previews
+SPLITS = ("train_a", "train_b", "validation")
 
 
 def manifest_text(manifest: SplitManifest, config: GeneratorConfig) -> str:
@@ -246,7 +231,7 @@ def manifest_text(manifest: SplitManifest, config: GeneratorConfig) -> str:
         if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
         lines.append(f"generator.{key}={value}")
-    for split in SPLIT_FILES:
+    for split in SPLITS:
         lines.append(f"{split}_seeds=" + ",".join(str(s) for s in manifest.seeds_of(split)))
     return "\n".join(lines) + "\n"
 
@@ -286,45 +271,18 @@ def parse_manifest(text: str) -> tuple[SplitManifest, GeneratorConfig]:
 
 
 def write_dataset(out_dir, manifest: SplitManifest, config: GeneratorConfig, images: bool = False) -> None:
-    """Emit manifest.txt and one flat binary record file per split;
-    optionally PGM channels / PPM label maps for visual inspection."""
+    """Emit manifest.txt, from which every sample regenerates; optionally
+    PGM channels / PPM label maps of a few samples per split for visual
+    inspection."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.txt").write_text(manifest_text(manifest, config))
-    for split, filename in SPLIT_FILES.items():
-        with open(out / filename, "wb") as fh:
-            for seed in manifest.seeds_of(split):
-                fh.write(_sample_record(generate_sample(seed, config)))
     if images:
         img_dir = out / "images"
         img_dir.mkdir(exist_ok=True)
-        for split in SPLIT_FILES:
+        for split in SPLITS:
             for seed in manifest.seeds_of(split)[:4]:
                 export_images(generate_sample(seed, config), img_dir / f"{split}_{seed}")
-
-
-def read_dataset(data_dir, split: str, config: GeneratorConfig) -> list[ScanSample]:
-    """Parse one split's flat binary records back into samples."""
-    path = Path(data_dir) / SPLIT_FILES[split]
-    size = config.image_size
-    record_len = 8 + 2 * size * size * 8 + 2 * size * size
-    data = path.read_bytes()
-    if len(data) % record_len:
-        raise FormatError(f"{path} is not a whole number of records", offset=len(data))
-    samples = []
-    for start in range(0, len(data), record_len):
-        rec = data[start : start + record_len]
-        seed = int(np.frombuffer(rec[:8], dtype="<u8")[0])
-        pos = 8
-        channels = np.frombuffer(rec[pos : pos + 2 * size * size * 8], dtype="<f8").reshape(2, size, size)
-        pos += 2 * size * size * 8
-        labels_a = np.frombuffer(rec[pos : pos + size * size], dtype=np.uint8).reshape(size, size)
-        pos += size * size
-        labels_b = np.frombuffer(rec[pos:], dtype=np.uint8).reshape(size, size)
-        samples.append(
-            ScanSample(channels=channels.astype(np.float64), labels_a=labels_a.copy(), labels_b=labels_b.copy(), seed=seed)
-        )
-    return samples
 
 
 LABEL_COLORS_A = np.array([[0, 0, 0], [60, 120, 216], [120, 200, 120], [240, 240, 240]], dtype=np.uint8)
@@ -354,17 +312,16 @@ def export_images(sample: ScanSample, base_path) -> None:
 
 
 class SampleBank:
-    """Lazy split -> samples cache that records which splits were read;
-    the training loop's data firewall assertion relies on this record."""
+    """Lazy split -> samples cache: a split's samples are generated from
+    their manifest seeds on first use.  The training loop's data firewall
+    (``harness.PlanData``) sits in front of it."""
 
     def __init__(self, manifest: SplitManifest, config: GeneratorConfig):
         self.manifest = manifest
         self.config = config
         self._cache: dict[str, list[ScanSample]] = {}
-        self.accessed: set[str] = set()
 
     def split(self, name: str) -> list[ScanSample]:
-        self.accessed.add(name)
         if name not in self._cache:
             self._cache[name] = [generate_sample(s, self.config) for s in self.manifest.seeds_of(name)]
         return self._cache[name]

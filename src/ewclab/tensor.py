@@ -258,12 +258,11 @@ def log_softmax(logits: Tensor) -> Tensor:
     return Tensor.op(out, (logits,), vjp)
 
 
-def nll_loss(log_probs: Tensor, labels: Array, weights: Array | None = None) -> Tensor:
+def nll_loss(log_probs: Tensor, labels: Array) -> Tensor:
     """Mean negative log-likelihood over pixels.
 
-    log_probs: [K,N] per-column log-probabilities; labels: int array [N];
-    weights: optional per-class factors [K].  The result is
-    -(1/N) * sum_n w[y_n] * log_probs[y_n, n].
+    log_probs: [K,N] per-column log-probabilities; labels: int array [N].
+    The result is -(1/N) * sum_n log_probs[y_n, n].
     """
     labels = np.asarray(labels)
     if not np.issubdtype(labels.dtype, np.integer):
@@ -275,16 +274,12 @@ def nll_loss(log_probs: Tensor, labels: Array, weights: Array | None = None) -> 
     if bad.size:
         i = int(bad[0])
         raise LabelError(f"label {int(labels[i])} at index {i} outside [0, {k})")
-    w = np.ones(k) if weights is None else np.asarray(weights, dtype=np.float64)
-    if w.shape != (k,):
-        raise DimensionError(f"weights shape {w.shape} != ({k},)")
     idx = np.arange(n)
-    picked = log_probs.values[labels, idx]
-    out = -(w[labels] * picked).sum() / n
+    out = -log_probs.values[labels, idx].sum() / n
 
     def vjp(g: Array) -> tuple[Array]:
         dlp = np.zeros((k, n))
-        dlp[labels, idx] = -w[labels] / n * g
+        dlp[labels, idx] = (-1.0 / n) * g
         return (dlp,)
 
     return Tensor.op(np.asarray(out), (log_probs,), vjp)
@@ -320,18 +315,6 @@ def add_n(terms: Iterable[Tensor]) -> Tensor:
     return Tensor.op(total, terms, vjp)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of two same-shape tensors."""
-    if a.shape != b.shape:
-        raise DimensionError(f"mul shapes differ: {a.shape} vs {b.shape}")
-    av, bv = a.values, b.values
-
-    def vjp(g: Array) -> tuple[Array, Array]:
-        return g * bv, g * av
-
-    return Tensor.op(av * bv, (a, b), vjp)
-
-
 def scale(a: Tensor, factor: float) -> Tensor:
     factor = float(factor)
 
@@ -339,15 +322,6 @@ def scale(a: Tensor, factor: float) -> Tensor:
         return (g * factor,)
 
     return Tensor.op(a.values * factor, (a,), vjp)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    """Sum of all elements, as a scalar tensor."""
-
-    def vjp(g: Array) -> tuple[Array]:
-        return (np.full(a.shape, g, dtype=np.float64),)
-
-    return Tensor.op(np.asarray(a.values.sum()), (a,), vjp)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from ewclab.cli import main
+from ewclab.network import load_checkpoint
 
 TINY = [
     "--seeds", "1", "--epochs", "2", "--image-size", "32",
@@ -35,6 +36,13 @@ class TestExitCodes:
         assert code == 3
         assert "checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lam", ["-1", "nan"])
+    def test_negative_or_non_finite_lambda_exits_2_before_any_run(self, tmp_path, capsys, lam):
+        code = run(["run-experiment", "--regime", "l2", f"--lambda={lam}", "--out", str(tmp_path)] + TINY)
+        assert code == 2
+        assert "lambda" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_ewc_on_checkpoint_without_task_a_exits_3(self, tmp_path, capsys):
         assert run(["train", "--regime", "dm-b", "--out", str(tmp_path)] + TINY) == 0
         ckpt = next((tmp_path / "runs").iterdir()) / "final.ckpt"
@@ -49,8 +57,8 @@ class TestCommands:
         assert code == 0
         data = tmp_path / "data"
         assert (data / "manifest.txt").exists()
-        assert (data / "train_a.bin").exists()
         assert list((data / "images").glob("*.ppm"))
+        assert not list(data.rglob("*.bin"))
 
     def test_train_evaluate_fisher_round_trip(self, tmp_path, capsys):
         out = str(tmp_path)
@@ -63,12 +71,27 @@ class TestCommands:
         stdout = capsys.readouterr().out
         assert "task a csf" in stdout
 
+        # with the same config, the fisher step recomputes exactly the
+        # payload the dm-a run embedded
         aug = tmp_path / "aug.ckpt"
         assert run(["fisher", "--checkpoint", str(ckpt), "--out-checkpoint", str(aug),
                     "--out", out] + TINY) == 0
-        from ewclab.network import load_checkpoint
+        embedded, recomputed = load_checkpoint(ckpt).fisher, load_checkpoint(aug).fisher
+        assert recomputed is not None
+        assert recomputed.values.tobytes() == embedded.values.tobytes()
+        assert recomputed.provenance == embedded.provenance
 
-        assert load_checkpoint(aug).fisher is not None
+    def test_moved_output_directory_reruns(self, tmp_path, capsys):
+        first, moved = tmp_path / "o1", tmp_path / "o2"
+        assert run(["run-experiment", "--regime", "finetune", "--out", str(first)] + TINY) == 0
+        first.rename(moved)
+        capsys.readouterr()
+        code = run(["run-experiment", "--regime", "finetune,ewc", "--lambda", "1",
+                    "--out", str(moved)] + TINY)
+        assert code == 0
+        stdout = capsys.readouterr().out
+        assert stdout.count("skip") == 2  # the shared dm-a run and finetune
+        assert "run ewc" in stdout
 
     def test_run_experiment_report_plot(self, tmp_path, capsys):
         out = str(tmp_path)

@@ -11,13 +11,11 @@ from ewclab.continual import (
     AnchorParams,
     FisherDiagonal,
     FisherProvenance,
-    RegularizerConfig,
     build_regime,
     canonical_regime,
     estimate_fisher,
     ewc_penalty,
     score_samples,
-    total_loss,
 )
 from ewclab.errors import (
     AlignmentError,
@@ -34,12 +32,32 @@ from ewclab.network import (
     leaf_tensors,
     save_checkpoint,
 )
-from ewclab.tensor import Graph, Tensor, backward, log_softmax, matmul, nll_loss, reshape
+from ewclab.tensor import Graph, Tensor, add, backward, log_softmax, matmul, nll_loss, reshape
 
 
 def tiny_net(seed=0, heads=None):
     spec = NetworkSpec(in_channels=1, trunk=(3,), heads=heads or {"taskA": 2})
     return init_network(spec, seed=seed)
+
+
+def leaves_of(store):
+    return leaf_tensors(store, Graph())
+
+
+def copy_of(store):
+    return ParamStore(store, spec=store.spec)
+
+
+def task_a_checkpoint(tmp_path, with_fisher=True):
+    store = tiny_net(seed=5, heads={"taskA": 4})
+    fisher = None
+    if with_fisher:
+        rng = np.random.default_rng(0)
+        data = [(rng.normal(size=(1, 5, 5)), rng.integers(0, 4, size=9)) for _ in range(3)]
+        fisher = estimate_fisher(store, data, "taskA")
+    path = tmp_path / "dm_a.ckpt"
+    save_checkpoint(store, path, metadata={"regime": "dm-a"}, fisher=fisher)
+    return path
 
 
 def tiny_data(n, seed=0, size=5, classes=2):
@@ -81,7 +99,7 @@ class TestEstimateFisher:
             store, [(np.ones((1, 1)), np.array([0]))], head="",
             forward=forward, names=["theta", "orphan"],
         )
-        assert np.all(fisher.lookup("orphan") == 0.0)
+        assert np.all(dict(fisher.to_entries())["orphan"] == 0.0)
 
     def test_matches_brute_force_loop_both_modes(self):
         store = tiny_net(seed=3)
@@ -156,14 +174,14 @@ class TestPenalty:
         store = tiny_net(seed=4)
         anchor = AnchorParams.from_store(store)
         fisher = FisherDiagonal.ones_like(store)
-        assert ewc_penalty(store, anchor, fisher, lam=2.5).values == 0.0
+        assert ewc_penalty(leaves_of(store), anchor, fisher, lam=2.5).values == 0.0
 
     def test_lambda_zero(self):
         store = tiny_net(seed=4)
         anchor = AnchorParams.from_store(store)
-        moved = store.clone()
+        moved = copy_of(store)
         moved["trunk.0.kernels"] += 1.0
-        pen = ewc_penalty(moved, anchor, FisherDiagonal.ones_like(store), lam=0.0)
+        pen = ewc_penalty(leaves_of(moved), anchor, FisherDiagonal.ones_like(store), lam=0.0)
         assert pen.values == 0.0
         grads = backward(pen)
         assert all(np.all(g == 0.0) for g in grads.values())
@@ -173,13 +191,13 @@ class TestPenalty:
         anchor = AnchorParams(np.zeros(2), tuple(store.entry_table()))
         fisher = FisherDiagonal(np.array([1.0, 2.0]), tuple(store.entry_table()),
                                 FisherProvenance("", "", "", 0))
-        pen = ewc_penalty(store, anchor, fisher, lam=0.5)
+        pen = ewc_penalty(leaves_of(store), anchor, fisher, lam=0.5)
         assert pen.values == pytest.approx(1.5, rel=1e-15)
 
     def test_gradient_exact(self):
         store = tiny_net(seed=6)
         anchor = AnchorParams.from_store(store)
-        moved = store.clone()
+        moved = copy_of(store)
         rng = np.random.default_rng(8)
         for name in moved:
             moved[name] += rng.normal(scale=0.1, size=moved[name].shape)
@@ -188,8 +206,9 @@ class TestPenalty:
         graph = Graph()
         leaves = leaf_tensors(moved, graph)
         grads = backward(ewc_penalty(leaves, anchor, fisher, lam))
+        importance = dict(fisher.to_entries())
         for name, shape, offset in anchor.entry_table:
-            expect = 2.0 * lam * fisher.lookup(name) * (moved[name] - anchor.slice_of(name, shape, offset))
+            expect = 2.0 * lam * importance[name] * (moved[name] - anchor.slice_of(name, shape, offset))
             assert np.max(np.abs(grads[name] - expect)) < 1e-12
 
     def test_new_head_contributes_nothing_and_gets_zero_gradient(self):
@@ -212,15 +231,21 @@ class TestPenalty:
         fisher = FisherDiagonal.ones_like(store)
         renamed = ParamStore({("x" + n if n == "trunk.0.bias" else n): store[n] for n in store})
         with pytest.raises(AlignmentError, match="trunk.0.bias"):
-            ewc_penalty(renamed, anchor, fisher, lam=1.0)
+            ewc_penalty(leaves_of(renamed), anchor, fisher, lam=1.0)
 
 
 class TestTotalLoss:
-    def test_mode_none_is_task_loss_bitwise(self):
-        g = Graph()
-        loss = Tensor.param("L", np.asarray(1.234), g)
-        out = total_loss(loss, RegularizerConfig("none"), {})
-        assert out is loss
+    """``train``'s objective: the task loss, plus the plan's anchored
+    penalty iff the plan carries importances."""
+
+    def test_mode_none_is_task_loss_bitwise(self, tmp_path):
+        # unregularized plans carry no penalty, so the objective is the
+        # task loss tensor itself
+        path = str(task_a_checkpoint(tmp_path))
+        plans = [build_regime(kind, seed=1) for kind in ("dm-a", "dm-b", "multitask")]
+        plans.append(build_regime("finetune", seed=1, checkpoint_path=path))
+        for plan in plans:
+            assert plan.anchor is None and plan.fisher is None
 
     def test_zero_displacement_keeps_task_loss(self):
         store = tiny_net(seed=2)
@@ -228,79 +253,70 @@ class TestTotalLoss:
         graph = Graph()
         leaves = leaf_tensors(store, graph)
         task = Tensor.const(np.asarray(0.7), graph)
-        reg = RegularizerConfig("ewc", lam=4.0, anchor=anchor, fisher=FisherDiagonal.ones_like(store))
-        assert total_loss(task, reg, leaves).values == 0.7
+        penalty = ewc_penalty(leaves, anchor, FisherDiagonal.ones_like(store), lam=4.0)
+        assert add(task, penalty).values == 0.7
 
-    def test_l2_and_ewc_with_unit_fisher_bit_identical(self):
-        store = tiny_net(seed=2)
-        anchor = AnchorParams.from_store(store)
-        moved = store.clone()
+    def test_l2_and_ewc_with_unit_fisher_bit_identical(self, tmp_path):
+        # the l2 plan's penalty equals the ewc plan's with its importances
+        # replaced by ones, in value and gradients, bitwise
+        path = str(task_a_checkpoint(tmp_path))
+        l2 = build_regime("l2", lam=0.8, seed=1, checkpoint_path=path)
+        ewc = build_regime("ewc", lam=0.8, seed=1, checkpoint_path=path)
+        unit = FisherDiagonal(np.ones(len(ewc.fisher)), ewc.fisher.entry_table, ewc.fisher.provenance)
+        moved = attach_head(l2.checkpoint.params, "taskB", 2, seed=1)
         rng = np.random.default_rng(1)
         for name in moved:
             moved[name] += rng.normal(scale=0.05, size=moved[name].shape)
 
-        def run(reg):
-            graph = Graph()
-            leaves = leaf_tensors(moved, graph)
-            task = Tensor.const(np.asarray(0.3), graph)
-            out = total_loss(task, reg, leaves)
+        def run(anchor, fisher, lam):
+            out = ewc_penalty(leaves_of(moved), anchor, fisher, lam)
             return out.values.copy(), backward(out)
 
-        lv_l2, g_l2 = run(RegularizerConfig("l2", lam=0.8, anchor=anchor))
-        lv_ewc, g_ewc = run(
-            RegularizerConfig("ewc", lam=0.8, anchor=anchor, fisher=FisherDiagonal.ones_like(store))
-        )
+        lv_l2, g_l2 = run(l2.anchor, l2.fisher, l2.lam)
+        lv_ewc, g_ewc = run(ewc.anchor, unit, ewc.lam)
+        assert lv_l2 > 0.0
         assert lv_l2.tobytes() == lv_ewc.tobytes()
+        assert set(g_l2) == set(g_ewc)
         for name in g_l2:
             assert g_l2[name].tobytes() == g_ewc[name].tobytes()
 
-    def test_missing_fisher_rejected(self):
-        store = tiny_net(seed=2)
-        reg = RegularizerConfig("ewc", lam=1.0, anchor=AnchorParams.from_store(store))
-        with pytest.raises(ContractError, match="Fisher"):
-            reg.validate()
-
 
 class TestBuildRegime:
-    def make_checkpoint(self, tmp_path, with_fisher=True):
-        store = tiny_net(seed=5, heads={"taskA": 4})
-        fisher = None
-        if with_fisher:
-            rng = np.random.default_rng(0)
-            data = [(rng.normal(size=(1, 5, 5)), rng.integers(0, 4, size=9)) for _ in range(3)]
-            fisher = estimate_fisher(store, data, "taskA")
-        path = tmp_path / "dm_a.ckpt"
-        save_checkpoint(store, path, metadata={"regime": "dm-a"}, fisher=fisher)
-        return path
-
     def test_dm_a_plan(self):
         plan = build_regime("DM-A", seed=1, trunk=(3,), in_channels=1)
         assert plan.kind == "dm-a"
         assert plan.train_tasks == ("a",)
         assert plan.input_splits == ("train_a", "validation")
-        assert plan.reg.mode == "none"
+        assert plan.anchor is None and plan.fisher is None
         assert plan.scratch_spec.heads == {"taskA": 4}
 
     def test_finetune_equals_ewc_lambda_zero_structurally(self, tmp_path):
-        path = self.make_checkpoint(tmp_path)
+        path = task_a_checkpoint(tmp_path)
         ft = build_regime("finetune", seed=1, checkpoint_path=str(path))
         ewc0 = build_regime("ewc", lam=0.0, seed=1, checkpoint_path=str(path))
         assert ft.attach == ewc0.attach == ("taskB", 2)
         assert ft.train_tasks == ewc0.train_tasks == ("b",)
         assert ft.input_splits == ewc0.input_splits
-        assert ewc0.reg.lam == 0.0
+        assert ewc0.lam == 0.0
 
     def test_ewc_without_fisher_rejected(self, tmp_path):
-        path = self.make_checkpoint(tmp_path, with_fisher=False)
+        path = task_a_checkpoint(tmp_path, with_fisher=False)
         with pytest.raises(PrerequisiteError, match="Fisher"):
             build_regime("ewc", lam=1.0, seed=1, checkpoint_path=str(path))
+
+    @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
+    def test_negative_or_non_finite_lambda_rejected(self, tmp_path, lam):
+        path = str(task_a_checkpoint(tmp_path))
+        for kind in ("l2", "ewc"):
+            with pytest.raises(ContractError, match="lambda"):
+                build_regime(kind, lam=lam, seed=1, checkpoint_path=path)
 
     def test_sequential_without_checkpoint_rejected(self, tmp_path):
         with pytest.raises(PrerequisiteError):
             build_regime("finetune", seed=1, checkpoint_path=str(tmp_path / "missing.ckpt"))
 
     def test_sequential_plans_never_stream_task_a_training_data(self, tmp_path):
-        path = self.make_checkpoint(tmp_path)
+        path = task_a_checkpoint(tmp_path)
         for kind in ("finetune", "l2", "ewc"):
             plan = build_regime(kind, lam=1.0, seed=1, checkpoint_path=str(path))
             assert "train_a" not in plan.input_splits

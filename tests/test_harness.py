@@ -8,6 +8,8 @@ default scale.
 
 from __future__ import annotations
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,19 @@ class TestExperiment:
             reloaded = load_run_record(out / "runs" / record.run_id)
             assert [r.csv_line() for r in reloaded.rows] == [r.csv_line() for r in record.rows]
             assert reloaded.splits_used == record.splits_used
+            assert reloaded.checkpoint_final == record.checkpoint_final
+
+    def test_checkpoint_paths_follow_the_run_directory(self, experiment, tmp_path):
+        # a record.txt written with absolute checkpoint paths (as earlier
+        # versions did) still loads, and its paths are ignored
+        out, config, records = experiment
+        moved = tmp_path / "moved"
+        shutil.copytree(out / "runs" / records[0].run_id, moved)
+        with open(moved / "record.txt", "a") as fh:
+            fh.write("checkpoint_epoch0=/gone/epoch0.ckpt\ncheckpoint_final=/gone/final.ckpt\n")
+        reloaded = load_run_record(moved)
+        assert reloaded.checkpoint_epoch0 == str(moved / "epoch0.ckpt")
+        assert reloaded.checkpoint_final == str(moved / "final.ckpt")
 
     def test_epoch0_task_a_curve_matches_dm_a_final_eval(self, experiment):
         out, config, records = experiment

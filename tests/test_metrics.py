@@ -1,4 +1,4 @@
-"""Dice computation, pooled evaluation and curve aggregation."""
+"""Dice computation and pooled evaluation."""
 
 from __future__ import annotations
 
@@ -8,8 +8,6 @@ import pytest
 from ewclab.errors import DimensionError
 from ewclab.metrics import (
     ConfusionCounts,
-    DiceRecord,
-    aggregate_curves,
     dice,
     evaluate_model,
     interior,
@@ -121,12 +119,6 @@ class TestEvaluateModel:
         names = {r.class_name for r in records}
         assert names <= {"csf", "gm", "wm"}
 
-    def test_background_included_on_request(self):
-        records = evaluate_model(
-            self.store, "taskA", TASK_A, self.samples, "full", include_background=True
-        )
-        assert "background" in {r.class_name for r in records}
-
     def test_patch_scope(self):
         m = self.margin
         patch = self.samples[0].channels[:, :14, :14]
@@ -148,39 +140,3 @@ class TestEvaluateModel:
         logits = forward_pass(self.store, patch, "taskA").values
         assert np.array_equal(predict_patch(self.store, "taskA", patch), logits.argmax(axis=0))
 
-
-class TestAggregateCurves:
-    def test_single_epoch(self):
-        records = [
-            DiceRecord("a", "csf", 0.5, "patch", 0),
-            DiceRecord("a", "gm", 0.6, "patch", 0),
-            DiceRecord("b", "wml", 0.1, "patch", 0),
-        ]
-        rows = aggregate_curves(records)
-        assert len(rows) == 3
-        assert rows[0] == (0, "a", "csf", 0.5)
-
-    def test_out_of_order_epochs_sorted(self):
-        records = [
-            DiceRecord("a", "csf", 0.7, "patch", 2),
-            DiceRecord("a", "csf", 0.5, "patch", 0),
-            DiceRecord("a", "csf", 0.6, "patch", 1),
-        ]
-        rows = aggregate_curves(records)
-        assert [r[0] for r in rows] == [0, 1, 2]
-        assert [r[3] for r in rows] == [0.5, 0.6, 0.7]
-
-    def test_sort_key_task_class_epoch(self):
-        records = [
-            DiceRecord("b", "wml", 0.1, "patch", 0),
-            DiceRecord("a", "wm", 0.2, "patch", 1),
-            DiceRecord("a", "csf", 0.3, "patch", 0),
-            DiceRecord("a", "wm", 0.4, "patch", 0),
-        ]
-        rows = aggregate_curves(records)
-        assert [(r[1], r[2], r[0]) for r in rows] == [
-            ("a", "csf", 0),
-            ("a", "wm", 0),
-            ("a", "wm", 1),
-            ("b", "wml", 0),
-        ]
