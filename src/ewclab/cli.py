@@ -16,6 +16,7 @@ from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 from . import harness, metrics, network
+from .atomic import write_text
 from .continual import build_regime, canonical_regime
 from .errors import ConfigError, DivergenceError, EwcLabError, PrerequisiteError
 from .harness import (
@@ -24,6 +25,7 @@ from .harness import (
     MetricRow,
     RunRecord,
     _ATTR_TO_KEY,
+    config_digest,
     emit_plots,
     emit_summary_table,
     load_data,
@@ -97,7 +99,7 @@ def cmd_train(args) -> int:
     manifest, gen_config = load_data(config)
     bank = SampleBank(manifest, gen_config)
     plan = build_regime(kind, lam, seed, config.checkpoint or None, trunk=tuple(config.trunk))
-    rid = run_id(kind, lam, seed, config)
+    rid = run_id(kind, lam, seed, config_digest(config))
     record = harness.train(plan, config, bank, Path(config.out_dir) / "runs" / rid)
     print(f"run {record.run_id} done in {record.duration_s:.1f}s; outputs under "
           f"{Path(config.out_dir) / 'runs' / rid}")
@@ -161,8 +163,8 @@ def cmd_report(args) -> int:
     out = Path(config.out_dir)
     records = _records_from_rows(_load_rows(out))
     text, csv_text = emit_summary_table(records)
-    (out / "summary.txt").write_text(text)
-    (out / "summary.csv").write_text(csv_text)
+    write_text(out / "summary.txt", text)
+    write_text(out / "summary.csv", csv_text)
     print(text, end="")
     return 0
 

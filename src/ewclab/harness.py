@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, network, svgplot, tensor
+from .atomic import write_text
 from .continual import (
     FisherDiagonal,
     RegimePlan,
@@ -203,22 +204,27 @@ def dump_config(config: ExperimentConfig) -> str:
 
 
 def config_digest(config: ExperimentConfig) -> str:
-    """Hash over everything that shapes a single run's trajectory, the
-    numeric core's version included; the sweep lists and output location
-    are excluded so run ids stay stable across sweeps and output
-    directories."""
+    """Hash over everything that shapes a single run's trajectory: the
+    config, the data manifest's content (not its path) and the numeric
+    core's version.  The sweep lists and output location are excluded so
+    run ids stay stable across sweeps, output directories and copies of
+    a manifest; editing a manifest in place changes them."""
     skip = {"regimes", "lambdas", "seeds", "out_dir"}
-    lines = [
-        f"{f.name}={getattr(config, f.name)}"
-        for f in dataclass_fields(config)
-        if f.name not in skip
-    ]
+    lines = []
+    for f in dataclass_fields(config):
+        if f.name in skip:
+            continue
+        value = getattr(config, f.name)
+        if f.name == "data_manifest" and value:
+            value = "sha256:" + hashlib.sha256(Path(value).read_bytes()).hexdigest()
+        lines.append(f"{f.name}={value}")
     lines.append(f"core_version={tensor.CORE_VERSION}")
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
 
-def run_id(regime: str, lam: float, seed: int, config: ExperimentConfig) -> str:
-    text = f"{regime}|{lam:g}|{seed}|{config_digest(config)}"
+def run_id(regime: str, lam: float, seed: int, digest: str) -> str:
+    """Id of one run of a config whose :func:`config_digest` is ``digest``."""
+    text = f"{regime}|{lam:g}|{seed}|{digest}"
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -406,7 +412,7 @@ def train(
     checkpoints at epoch 0 and the final epoch."""
     t0 = time.monotonic()
     config.validate()
-    rid = run_id(plan.kind, plan.lam, plan.seed, config)
+    rid = run_id(plan.kind, plan.lam, plan.seed, config_digest(config))
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     data = PlanData(bank, plan.input_splits, plan.kind)
@@ -551,17 +557,20 @@ def task_a_fisher(store: ParamStore, images: list[ScanSample], config: Experimen
 # ---------------------------------------------------------------------------
 
 
+def _csv_text(rows: list[MetricRow]) -> str:
+    return "\n".join([CSV_HEADER] + [r.csv_line() for r in rows]) + "\n"
+
+
 def _write_run_dir(record: RunRecord, config: ExperimentConfig, run_dir: Path) -> None:
-    (run_dir / "config.txt").write_text(dump_config(config))
-    (run_dir / "metrics.csv").write_text(
-        "\n".join([CSV_HEADER] + [r.csv_line() for r in record.rows]) + "\n"
-    )
+    write_text(run_dir / "config.txt", dump_config(config))
+    write_text(run_dir / "metrics.csv", _csv_text(record.rows))
     loss_lines = [LOSS_HEADER]
     for em in record.epoch_metrics:
         loss = "" if em.loss_mean is None else repr(em.loss_mean)
         loss_lines.append(f"{record.run_id},{em.epoch},{loss},{em.penalty_mean!r}")
-    (run_dir / "losses.csv").write_text("\n".join(loss_lines) + "\n")
-    (run_dir / "record.txt").write_text(
+    write_text(run_dir / "losses.csv", "\n".join(loss_lines) + "\n")
+    write_text(
+        run_dir / "record.txt",
         "\n".join(
             [
                 f"run_id={record.run_id}",
@@ -572,9 +581,9 @@ def _write_run_dir(record: RunRecord, config: ExperimentConfig, run_dir: Path) -
                 f"duration_s={record.duration_s:.3f}",
             ]
         )
-        + "\n"
+        + "\n",
     )
-    (run_dir / "done").write_text("ok\n")
+    write_text(run_dir / "done", "ok\n")
 
 
 def load_run_record(run_dir: str | Path) -> RunRecord:
@@ -612,8 +621,11 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
     The task-A and task-B single-task baselines run once (first seed) and
     the task-A run doubles as the shared prerequisite for finetune/l2/ewc;
     multitask and the sequential regimes run per seed (and per lambda for
-    l2/ewc).  Completed run ids are skipped; a diverging run is recorded
-    in failures.txt without aborting the sweep.
+    l2/ewc).  Completed run ids are skipped, and the validation samples
+    and eval patches are built only once a run trains, so a sweep of
+    cache hits generates no data.  A diverging run is recorded in
+    failures.txt without aborting the sweep; a sweep without failures
+    removes the file.
     """
     config.validate()
     if not config.regimes:
@@ -624,12 +636,10 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
     runs_dir.mkdir(parents=True, exist_ok=True)
 
     manifest, gen_config = load_data(config)
-    (out / "manifest.txt").write_text(manifest_text(manifest, gen_config))
+    write_text(out / "manifest.txt", manifest_text(manifest, gen_config))
+    digest = config_digest(config)
     bank = SampleBank(manifest, gen_config)
-    eval_sets = {
-        t.task_id: build_eval_patches(bank.split("validation"), t, config)
-        for t in TASKS.values()
-    }
+    eval_sets: dict[str, list] = {}  # filled by the first run that trains
 
     records: list[RunRecord] = []
     failures: list[str] = []
@@ -637,7 +647,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
 
     def ensure(kind: str, lam: float, seed: int, checkpoint_path: str | None = None,
                critical: bool = False) -> RunRecord | None:
-        rid = run_id(kind, lam, seed, config)
+        rid = run_id(kind, lam, seed, digest)
         run_dir = runs_dir / rid
         if (run_dir / "done").exists():
             note(f"skip {kind} lambda={lam:g} seed={seed} ({rid}, already done)")
@@ -648,13 +658,17 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
         plan = build_regime(
             kind, lam, seed, checkpoint_path, trunk=tuple(config.trunk)
         )
+        if not eval_sets:
+            validation = bank.split("validation")
+            eval_sets.update(
+                (t.task_id, build_eval_patches(validation, t, config)) for t in TASKS.values()
+            )
         try:
             record = train(plan, config, bank, run_dir, eval_sets=eval_sets)
         except DivergenceError as exc:
             failures.append(f"{rid},{kind},{lam:g},{seed},{exc}")
             note(f"FAILED {rid}: {exc}")
-            if failures:
-                (out / "failures.txt").write_text("\n".join(failures) + "\n")
+            write_text(out / "failures.txt", "\n".join(failures) + "\n")
             if critical:
                 raise
             return None
@@ -680,14 +694,14 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
             for seed in config.seeds:
                 ensure(kind, lam, seed, checkpoint_path=shared_a.checkpoint_final)
 
-    if failures:
-        (out / "failures.txt").write_text("\n".join(failures) + "\n")
+    if not failures:
+        (out / "failures.txt").unlink(missing_ok=True)
 
     all_rows = [row for record in records for row in record.rows]
-    (out / "curves.csv").write_text("\n".join([CSV_HEADER] + [r.csv_line() for r in all_rows]) + "\n")
+    write_text(out / "curves.csv", _csv_text(all_rows))
     text, csv_text = emit_summary_table(records)
-    (out / "summary.txt").write_text(text)
-    (out / "summary.csv").write_text(csv_text)
+    write_text(out / "summary.txt", text)
+    write_text(out / "summary.csv", csv_text)
     emit_plots(all_rows, out / "plots")
     return records
 
@@ -751,35 +765,30 @@ def emit_plots(rows: list[MetricRow], plot_dir: str | Path) -> list[Path]:
     lambda (legend ascending), patch-scope DSC% against epoch."""
     plot_dir = Path(plot_dir)
     plot_dir.mkdir(parents=True, exist_ok=True)
-    by_regime: dict[str, list[MetricRow]] = {}
-    for row in rows:
-        if row.scope == "patch":
-            by_regime.setdefault(row.regime, []).append(row)
+    # regime -> (task, class) -> lambda -> epoch -> Dice values in row order
+    groups: dict[str, dict[tuple[str, str], dict[float, dict[int, list[float]]]]] = {}
+    for r in rows:
+        if r.scope == "patch":
+            by_lam = groups.setdefault(r.regime, {}).setdefault((r.task, r.class_name), {})
+            by_lam.setdefault(r.lam, {}).setdefault(r.epoch, []).append(r.dice)
 
     written = []
-    for regime in sorted(by_regime):
-        rrows = by_regime[regime]
-        lams = sorted({r.lam for r in rrows})
+    for regime in sorted(groups):
         panels = []
         for task_id, class_name in CLASS_ORDER:
-            series = []
-            for lam in lams:
-                per_epoch: dict[int, list[float]] = {}
-                for r in rrows:
-                    if (r.task, r.class_name, r.lam) == (task_id, class_name, lam):
-                        per_epoch.setdefault(r.epoch, []).append(r.dice)
-                if not per_epoch:
-                    continue
-                pts = [
-                    (float(e), 100.0 * sum(v) / len(v)) for e, v in sorted(per_epoch.items())
-                ]
-                series.append((f"λ={lam:g}", pts))
-            if series:
-                panels.append((f"task {task_id.upper()}: {class_name}", series))
+            by_lam = groups[regime].get((task_id, class_name))
+            if not by_lam:
+                continue
+            series = [
+                (f"λ={lam:g}",
+                 [(float(e), 100.0 * sum(v) / len(v)) for e, v in sorted(by_lam[lam].items())])
+                for lam in sorted(by_lam)
+            ]
+            panels.append((f"task {task_id.upper()}: {class_name}", series))
         if not panels:
             continue
         svg = svgplot.line_chart_grid(_method_label(regime, 0.0).split(" ")[0], panels)
         path = plot_dir / f"{regime}.svg"
-        path.write_text(svg)
+        write_text(path, svg)
         written.append(path)
     return written

@@ -10,13 +10,13 @@ Fisher diagonal and anchor snapshots align to it.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import DimensionError, FormatError, HeadError
 from .tensor import Graph, GradientMap, Tensor, conv2d, relu
 
@@ -286,25 +286,18 @@ def save_checkpoint(store: ParamStore, path, metadata: dict[str, str] | None = N
     if store.spec is None:
         raise FormatError("cannot checkpoint a store without a network spec")
     header = _dump_header(store.spec, len(store), metadata or {}, fisher)
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<B", CHECKPOINT_VERSION))
-            fh.write(struct.pack("<I", len(header)))
-            fh.write(header)
-            for name, arr in store.items():
-                _write_entry(fh, name, arr)
-            if fisher is not None:
-                fh.write(FISHER_SENTINEL)
-                fh.write(struct.pack("<I", len(fisher.entry_table)))
-                for name, values in fisher.to_entries():
-                    _write_entry(fh, name, values)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<B", CHECKPOINT_VERSION))
+        fh.write(struct.pack("<I", len(header)))
+        fh.write(header)
+        for name, arr in store.items():
+            _write_entry(fh, name, arr)
+        if fisher is not None:
+            fh.write(FISHER_SENTINEL)
+            fh.write(struct.pack("<I", len(fisher.entry_table)))
+            for name, values in fisher.to_entries():
+                _write_entry(fh, name, values)
 
 
 class _Reader:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 import numpy as np
 
+from .atomic import write_text
 from .errors import ConfigError, DataError, DegenerateInputError, FormatError
 
 Array = np.ndarray
@@ -276,7 +277,7 @@ def write_dataset(out_dir, manifest: SplitManifest, config: GeneratorConfig, ima
     inspection."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "manifest.txt").write_text(manifest_text(manifest, config))
+    write_text(out / "manifest.txt", manifest_text(manifest, config))
     if images:
         img_dir = out / "images"
         img_dir.mkdir(exist_ok=True)

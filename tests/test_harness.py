@@ -13,7 +13,7 @@ import shutil
 import numpy as np
 import pytest
 
-from ewclab import network, tensor
+from ewclab import harness, network, svgplot, synthtasks, tensor
 from ewclab.continual import FisherDiagonal, FisherProvenance, build_regime
 from ewclab.errors import ConfigError, ContractError, DivergenceError
 from ewclab.harness import (
@@ -32,7 +32,7 @@ from ewclab.harness import (
     run_id,
     train,
 )
-from ewclab.synthtasks import TASKS, SampleBank
+from ewclab.synthtasks import TASKS, SampleBank, write_dataset
 
 TINY = {
     "regime": "dm-a",
@@ -121,13 +121,13 @@ class TestConfig:
         a = tiny_config(tmp_path / "one")
         b = tiny_config(tmp_path / "two")
         assert config_digest(a) == config_digest(b)
-        assert run_id("dm-a", 0.0, 1, a) == run_id("dm-a", 0.0, 1, b)
+        assert run_id("dm-a", 0.0, 1, config_digest(a)) == run_id("dm-a", 0.0, 1, config_digest(b))
 
     def test_run_id_changes_with_core_version(self, tmp_path, monkeypatch):
         config = tiny_config(tmp_path)
-        before = run_id("ewc", 150.0, 1, config)
+        before = run_id("ewc", 150.0, 1, config_digest(config))
         monkeypatch.setattr(tensor, "CORE_VERSION", tensor.CORE_VERSION + 1)
-        assert run_id("ewc", 150.0, 1, config) != before
+        assert run_id("ewc", 150.0, 1, config_digest(config)) != before
 
 
 class TestTrainLoop:
@@ -182,6 +182,15 @@ class TestTrainLoop:
         failures = (tmp_path / "exp" / "failures.txt").read_text()
         assert "l2,1e+06" in failures
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_sweep_without_failures_removes_stale_failures_file(self, tmp_path):
+        run_experiment(tiny_config(tmp_path, epochs=3, patches_per_image=6,
+                                   regime="dm-a,l2", **{"lambda": "1e6"}))
+        failures = tmp_path / "exp" / "failures.txt"
+        assert "l2,1e+06" in failures.read_text()
+        run_experiment(tiny_config(tmp_path, epochs=3, patches_per_image=6, regime="dm-a"))
+        assert not failures.exists()
+
     def test_firewall_blocks_undeclared_split(self, tmp_path):
         config = tiny_config(tmp_path)
         manifest, gen = load_data(config)
@@ -190,6 +199,20 @@ class TestTrainLoop:
         plan = type(plan)(**{**vars(plan), "input_splits": ("validation",)})
         with pytest.raises(ContractError, match="train_a"):
             train(plan, config, bank, tmp_path / "run")
+
+
+@pytest.fixture
+def trained(monkeypatch) -> list[tuple[str, float]]:
+    """(regime, lambda) of every run that trains from here on."""
+    calls = []
+    train_fn = harness.train
+
+    def counted_train(plan, *args, **kwargs):
+        calls.append((plan.kind, plan.lam))
+        return train_fn(plan, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "train", counted_train)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +270,39 @@ class TestExperiment:
         again = run_experiment(config)
         assert len(again) == len(records)
         assert (out / "curves.csv").read_bytes() == curves_before
+
+    def test_rerun_generates_no_data_and_rewrites_the_same_bytes(self, experiment, monkeypatch):
+        out, config, records = experiment
+        artifacts = ["curves.csv", "summary.txt", "summary.csv"]
+        artifacts += [f"plots/{p.name}" for p in sorted((out / "plots").iterdir())]
+        before = {name: (out / name).read_bytes() for name in artifacts}
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(synthtasks, "generate_sample",
+                            counted("generate_sample", synthtasks.generate_sample))
+        monkeypatch.setattr(harness, "build_eval_patches",
+                            counted("build_eval_patches", harness.build_eval_patches))
+        assert len(run_experiment(config)) == len(records)
+        assert calls == []
+        assert {name: (out / name).read_bytes() for name in artifacts} == before
+
+    def test_extended_sweep_trains_only_the_new_lambda(self, tmp_path, trained):
+        run_experiment(tiny_config(tmp_path / "grow", regime="l2", **{"lambda": "0.5"}))
+        trained.clear()
+        grown = run_experiment(tiny_config(tmp_path / "grow", regime="l2", **{"lambda": "0.5, 2"}))
+        assert trained == [("l2", 2.0)]
+        fresh = run_experiment(tiny_config(tmp_path / "fresh", regime="l2", **{"lambda": "2"}))
+        new = next(r for r in grown if r.lam == 2.0)
+        assert new.run_id == next(r for r in fresh if r.lam == 2.0).run_id
+        grown_csv = tmp_path / "grow" / "exp" / "runs" / new.run_id / "metrics.csv"
+        fresh_csv = tmp_path / "fresh" / "exp" / "runs" / new.run_id / "metrics.csv"
+        assert grown_csv.read_bytes() == fresh_csv.read_bytes()
 
     def test_sweep_counting_with_shared_prerequisite(self, tmp_path):
         config = tiny_config(tmp_path, regime="l2,ewc", seeds="1,2",
@@ -351,6 +407,71 @@ class TestRegimeIdentities:
             assert ck_l2.params[name].tobytes() == ck_ewc.params[name].tobytes()
 
 
+class TestRunStore:
+    def test_run_ids_follow_manifest_content_not_path(self, tmp_path, trained):
+        data = tmp_path / "data"
+        write_dataset(data, *load_data(tiny_config(tmp_path)))
+        first = run_experiment(tiny_config(tmp_path, data_manifest=data / "manifest.txt"))
+        trained.clear()
+        # a copy of the same manifest elsewhere keeps the ids: all cache hits
+        copy = tmp_path / "copy" / "manifest.txt"
+        copy.parent.mkdir()
+        shutil.copy(data / "manifest.txt", copy)
+        moved = run_experiment(tiny_config(tmp_path, data_manifest=copy))
+        assert trained == []
+        assert [r.run_id for r in moved] == [r.run_id for r in first]
+
+        # the manifest rewritten in place with other data retrains
+        write_dataset(data, *load_data(tiny_config(tmp_path, data_seed=8)))
+        edited = run_experiment(tiny_config(tmp_path, data_manifest=data / "manifest.txt"))
+        assert trained == [("dm-a", 0.0)]
+        assert edited[0].run_id != first[0].run_id
+
+    def test_failed_artifact_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        config = tiny_config(tmp_path)
+        run_experiment(config)
+        out = tmp_path / "exp"
+        curves = (out / "curves.csv").read_bytes()
+        # an unencodable character makes the curves.csv write raise
+        # after the file is opened
+        csv_line = MetricRow.csv_line
+        monkeypatch.setattr(MetricRow, "csv_line", lambda row: csv_line(row) + "\udc80")
+        with pytest.raises(UnicodeEncodeError):
+            run_experiment(config)
+        assert (out / "curves.csv").read_bytes() == curves
+        assert list(out.rglob("*.tmp")) == []
+
+
+def nested_loop_plots(rows: list[MetricRow], plot_dir) -> None:
+    """Reference for emit_plots: each plot series filtered from all of a
+    regime's rows, one (class, lambda) pair at a time."""
+    plot_dir.mkdir(parents=True)
+    by_regime: dict[str, list[MetricRow]] = {}
+    for row in rows:
+        if row.scope == "patch":
+            by_regime.setdefault(row.regime, []).append(row)
+    for regime in sorted(by_regime):
+        rrows = by_regime[regime]
+        lams = sorted({r.lam for r in rrows})
+        panels = []
+        for task_id, class_name in harness.CLASS_ORDER:
+            series = []
+            for lam in lams:
+                per_epoch: dict[int, list[float]] = {}
+                for r in rrows:
+                    if (r.task, r.class_name, r.lam) == (task_id, class_name, lam):
+                        per_epoch.setdefault(r.epoch, []).append(r.dice)
+                if not per_epoch:
+                    continue
+                pts = [(float(e), 100.0 * sum(v) / len(v)) for e, v in sorted(per_epoch.items())]
+                series.append((f"λ={lam:g}", pts))
+            if series:
+                panels.append((f"task {task_id.upper()}: {class_name}", series))
+        if panels:
+            title = harness._method_label(regime, 0.0).split(" ")[0]
+            (plot_dir / f"{regime}.svg").write_text(svgplot.line_chart_grid(title, panels))
+
+
 class TestReporting:
     def test_summary_values_match_record_finals(self, tmp_path):
         config = tiny_config(tmp_path)
@@ -372,6 +493,28 @@ class TestReporting:
         assert [p.name for p in a] == [p.name for p in b]
         for pa, pb in zip(a, b):
             assert pa.read_bytes() == pb.read_bytes()
+
+    def test_plots_match_the_nested_loop_grouping(self, tmp_path):
+        rng = np.random.default_rng(5)
+        grid = [("dm-a", 0.0, ("a",)), ("multitask", 0.0, ("a", "b"))]
+        grid += [(kind, lam, ("a", "b")) for kind in ("l2", "ewc") for lam in (0.1, 3.0)]
+        grid += [("l2", 30.0, ("b",))]  # a lambda with one task's rows only
+        rows = []
+        for kind, lam, task_ids in grid:
+            for seed in (1, 2, 3):
+                rid = f"{kind}-{lam:g}-{seed}"
+                for epoch in range(4):
+                    for task_id, class_name in harness.CLASS_ORDER:
+                        if task_id in task_ids:
+                            rows.append(MetricRow(rid, kind, lam, seed, epoch, "patch",
+                                                  task_id, class_name, float(rng.random())))
+                rows.append(MetricRow(rid, kind, lam, seed, 3, "full", task_ids[0], "x", 0.5))
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        written = emit_plots(rows, tmp_path / "plots")
+        nested_loop_plots(rows, tmp_path / "reference")
+        assert sorted(p.name for p in (tmp_path / "reference").iterdir()) == sorted(p.name for p in written)
+        for path in written:
+            assert path.read_bytes() == (tmp_path / "reference" / path.name).read_bytes()
 
     def test_polyline_point_count_matches_epochs(self, tmp_path):
         config = tiny_config(tmp_path)
