@@ -17,13 +17,12 @@ from pathlib import Path
 
 from . import harness, metrics, network
 from .atomic import write_text
-from .continual import build_regime, canonical_regime
+from .continual import REGIMES, build_regime, canonical_regime
 from .errors import ConfigError, DivergenceError, EwcLabError, PrerequisiteError
 from .harness import (
     CSV_HEADER,
     ExperimentConfig,
     MetricRow,
-    RunRecord,
     _ATTR_TO_KEY,
     config_digest,
     emit_plots,
@@ -70,16 +69,6 @@ def _load_rows(out_dir: Path) -> list[MetricRow]:
     return [MetricRow.from_csv_line(line) for line in lines[1:]]
 
 
-def _records_from_rows(rows: list[MetricRow]) -> list[RunRecord]:
-    by_run: dict[str, list[MetricRow]] = {}
-    for row in rows:
-        by_run.setdefault(row.run_id, []).append(row)
-    return [
-        RunRecord(run_id=rid, regime=rs[0].regime, lam=rs[0].lam, seed=rs[0].seed, rows=rs)
-        for rid, rs in by_run.items()
-    ]
-
-
 def cmd_generate_data(args) -> int:
     config = _gather_config(args)
     manifest, gen_config = load_data(config)
@@ -94,7 +83,7 @@ def cmd_train(args) -> int:
     if len(config.regimes) != 1:
         raise ConfigError("train needs exactly one regime (e.g. --regime ewc)")
     kind = canonical_regime(config.regimes[0])
-    lam = config.grid_for(kind)[0] if kind in ("l2", "ewc") else 0.0
+    lam = config.grid_for(kind)[0] if REGIMES[kind].penalty else 0.0
     seed = config.seeds[0]
     manifest, gen_config = load_data(config)
     bank = SampleBank(manifest, gen_config)
@@ -161,8 +150,7 @@ def cmd_plot(args) -> int:
 def cmd_report(args) -> int:
     config = _gather_config(args)
     out = Path(config.out_dir)
-    records = _records_from_rows(_load_rows(out))
-    text, csv_text = emit_summary_table(records)
+    text, csv_text = emit_summary_table(_load_rows(out))
     write_text(out / "summary.txt", text)
     write_text(out / "summary.csv", csv_text)
     print(text, end="")

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import network
 from .errors import AlignmentError, ContractError, DataError, PrerequisiteError
 from .network import NetworkSpec, ParamStore
-from .synthtasks import TASK_A, TASK_B
+from .synthtasks import TASK_A, TASKS
 from .tensor import Graph, Tensor, backward, log_softmax, nll_loss, reshape
 
 Array = np.ndarray
@@ -77,7 +77,7 @@ class FisherDiagonal:
     @classmethod
     def ones_like(cls, store: ParamStore) -> "FisherDiagonal":
         """Unit importances: the plain L2 anchor."""
-        prov = FisherProvenance(dataset_id="", head="", mode="l2", samples=0)
+        prov = FisherProvenance(dataset_id="", head="", mode="unit", samples=0)
         return cls(np.ones(store.total_params), tuple(store.entry_table()), prov)
 
 
@@ -106,25 +106,6 @@ class AnchorParams:
 # Fisher estimation
 # ---------------------------------------------------------------------------
 
-# builds per-pixel log-probabilities [K, N] for one patch from leaf tensors
-ForwardFn = Callable[[Mapping[str, Tensor], Array], Tensor]
-
-
-def _default_forward(store: ParamStore, head: str) -> tuple[ForwardFn, list[str]]:
-    spec = store.spec
-    if spec is None:
-        raise ContractError("store has no network spec; pass an explicit forward")
-    names = network.forward_names(spec, head)
-    classes = spec.heads[head]
-
-    def fn(leaves: Mapping[str, Tensor], patch: Array) -> Tensor:
-        logits = network.forward_logits(leaves, spec, patch, head)
-        n = logits.values.shape[1] * logits.values.shape[2]
-        return log_softmax(reshape(logits, (classes, n)))
-
-    return fn, names
-
-
 def _sample_labels(log_probs: Array, rng: np.random.Generator) -> Array:
     """One label per pixel, drawn from the predictive distribution."""
     probs = np.exp(log_probs)
@@ -140,8 +121,6 @@ def score_samples(
     head: str,
     mode: str = "empirical",
     rng_seed: int = 0,
-    forward: ForwardFn | None = None,
-    names: list[str] | None = None,
 ) -> Iterator[Array]:
     """Per-sample score vectors: the gradient of each sample's mean
     per-pixel log-likelihood, flattened over all store entries in flat
@@ -152,15 +131,20 @@ def score_samples(
         raise DataError("cannot estimate Fisher information from an empty dataset")
     if mode not in ("empirical", "sampled"):
         raise ContractError(f"unknown fisher mode {mode!r}")
-    if forward is None:
-        forward, names = _default_forward(params, head)
+    spec = params.spec
+    if spec is None:
+        raise ContractError("store has no network spec")
+    names = network.forward_names(spec, head)
+    classes = spec.heads[head]
     rng = np.random.default_rng(rng_seed)
     table = params.entry_table()
     total = params.total_params
     for patch, labels in data:
         graph = Graph()
         leaves = network.leaf_tensors(params, graph, names)
-        log_probs = forward(leaves, patch)
+        logits = network.forward_logits(leaves, spec, patch, head)
+        n = logits.values.shape[1] * logits.values.shape[2]
+        log_probs = log_softmax(reshape(logits, (classes, n)))
         if mode == "sampled":
             y = _sample_labels(log_probs.values, rng)
         else:
@@ -183,15 +167,13 @@ def estimate_fisher(
     mode: str = "empirical",
     rng_seed: int = 0,
     dataset_id: str = "",
-    forward: ForwardFn | None = None,
-    names: list[str] | None = None,
 ) -> FisherDiagonal:
     """Average squared per-sample score, accumulated in ascending sample
     order: F_i = (1/M) * sum_m g_{m,i}^2.  Deterministic given inputs and
     seed."""
     sumsq = np.zeros(params.total_params)
     count = 0
-    for score in score_samples(params, data, head, mode, rng_seed, forward, names):
+    for score in score_samples(params, data, head, mode, rng_seed):
         sumsq += score * score
         count += 1
     return FisherDiagonal(
@@ -251,32 +233,54 @@ def ewc_penalty(
 # experiment regimes
 # ---------------------------------------------------------------------------
 
-REGIMES = ("dm-a", "dm-b", "multitask", "finetune", "l2", "ewc")
-SEQUENTIAL_REGIMES = ("finetune", "l2", "ewc")
+@dataclass(frozen=True)
+class Regime:
+    """One regime of the comparison: what it trains and scores, where its
+    parameters come from, its penalty and how the sweep runs it."""
 
-_REGIME_ALIASES = {
-    "dm-a": "dm-a", "dma": "dm-a",
-    "dm-b": "dm-b", "dmb": "dm-b",
-    "multitask": "multitask", "multi-task": "multitask",
-    "finetune": "finetune", "fine-tune": "finetune",
-    "l2": "l2",
-    "ewc": "ewc",
+    label: str  # report label
+    train_tasks: tuple[str, ...]
+    eval_tasks: tuple[str, ...]
+    sequential: bool  # starts from the task-A checkpoint
+    penalty: str | None = None  # None, "unit" importances (l2) or "fisher" (ewc)
+    lambdas: tuple[float, ...] = (0.0,)  # default lambda grid
+    per_seed: bool = True  # else once, at the first seed
+
+
+# The regimes in sweep and report order.  The two regularizers live on
+# very different lambda scales: the Fisher importances average ~1e-4
+# while the L2 anchor weights every parameter at 1, and plain momentum
+# SGD diverges once lr * 2 * lambda * max importance crosses the
+# stability bound.  An empty 'lambda' config entry resolves to the grid
+# of the regime at hand.
+REGIMES: dict[str, Regime] = {
+    "dm-a": Regime("DM-A", ("a",), ("a",), sequential=False, per_seed=False),
+    "dm-b": Regime("DM-B", ("b",), ("b",), sequential=False, per_seed=False),
+    "multitask": Regime("Multi-task", ("a", "b"), ("a", "b"), sequential=False),
+    "finetune": Regime("Fine-tune", ("b",), ("a", "b"), sequential=True),
+    "l2": Regime("L2", ("b",), ("a", "b"), sequential=True, penalty="unit",
+                 lambdas=(0.01, 0.03, 0.1, 0.3)),
+    "ewc": Regime("EWC", ("b",), ("a", "b"), sequential=True, penalty="fisher",
+                  lambdas=(150.0, 500.0, 1500.0, 3000.0)),
 }
+
+_REGIME_ALIASES = {"dma": "dm-a", "dmb": "dm-b", "multi-task": "multitask", "fine-tune": "finetune"}
 
 
 def canonical_regime(kind: str) -> str:
     key = kind.strip().lower()
-    if key not in _REGIME_ALIASES:
-        raise ContractError(f"unknown regime {kind!r}; expected one of {REGIMES}")
-    return _REGIME_ALIASES[key]
+    key = _REGIME_ALIASES.get(key, key)
+    if key not in REGIMES:
+        raise ContractError(f"unknown regime {kind!r}; expected one of {tuple(REGIMES)}")
+    return key
 
 
 @dataclass
 class RegimePlan:
     """Executable description of one run: where parameters come from,
     which head to add, which splits may be streamed, and the anchored
-    penalty.  ``anchor`` and ``fisher`` are set for l2 (unit importances)
-    and ewc, and None for every unregularized regime."""
+    penalty.  ``anchor`` and ``fisher`` are set for penalized regimes
+    (unit importances or the checkpoint's Fisher), and None otherwise."""
 
     kind: str
     lam: float
@@ -301,38 +305,24 @@ def build_regime(
 ) -> RegimePlan:
     """Plan for one experiment run.
 
-    Sequential kinds (finetune, l2, ewc) need an existing task-A
-    checkpoint; ewc additionally needs its embedded Fisher payload.
-    Missing prerequisites raise :class:`PrerequisiteError`; a negative or
+    Sequential regimes need an existing task-A checkpoint; a Fisher
+    penalty additionally needs its embedded Fisher payload.  Missing
+    prerequisites raise :class:`PrerequisiteError`; a negative or
     non-finite lambda raises :class:`ContractError`.
     """
     kind = canonical_regime(kind)
+    regime = REGIMES[kind]
     lam = float(lam)
     if not (np.isfinite(lam) and lam >= 0):
         raise ContractError(f"lambda must be finite and non-negative, got {lam}")
+    splits = tuple(f"train_{t}" for t in regime.train_tasks) + ("validation",)
 
-    def spec_for(heads: dict[str, int]) -> NetworkSpec:
-        return NetworkSpec(in_channels=in_channels, trunk=tuple(trunk), heads=heads)
+    if not regime.sequential:
+        heads = {TASKS[t].head: TASKS[t].n_classes for t in regime.train_tasks}
+        spec = NetworkSpec(in_channels=in_channels, trunk=tuple(trunk), heads=heads)
+        return RegimePlan(kind, 0.0, seed, spec, None, None,
+                          regime.train_tasks, regime.eval_tasks, splits)
 
-    if kind == "dm-a":
-        return RegimePlan(
-            kind, 0.0, seed, spec_for({TASK_A.head: TASK_A.n_classes}), None, None,
-            train_tasks=("a",), eval_tasks=("a",), input_splits=("train_a", "validation"),
-        )
-    if kind == "dm-b":
-        return RegimePlan(
-            kind, 0.0, seed, spec_for({TASK_B.head: TASK_B.n_classes}), None, None,
-            train_tasks=("b",), eval_tasks=("b",), input_splits=("train_b", "validation"),
-        )
-    if kind == "multitask":
-        return RegimePlan(
-            kind, 0.0, seed,
-            spec_for({TASK_A.head: TASK_A.n_classes, TASK_B.head: TASK_B.n_classes}), None, None,
-            train_tasks=("a", "b"), eval_tasks=("a", "b"),
-            input_splits=("train_a", "train_b", "validation"),
-        )
-
-    # sequential regimes start from the task-A checkpoint
     if not checkpoint_path or not Path(checkpoint_path).exists():
         raise PrerequisiteError(
             f"regime {kind!r} needs a task-A checkpoint; not found at {checkpoint_path!r}"
@@ -342,18 +332,17 @@ def build_regime(
         raise PrerequisiteError(
             f"checkpoint {checkpoint_path!r} has no {TASK_A.head!r} head; not a task-A checkpoint"
         )
-    if kind == "ewc" and ckpt.fisher is None:
+    if regime.penalty == "fisher" and ckpt.fisher is None:
         raise PrerequisiteError(
-            f"regime 'ewc' needs a Fisher payload inside {checkpoint_path!r}; "
+            f"regime {kind!r} needs a Fisher payload inside {checkpoint_path!r}; "
             "run the fisher step on the task-A checkpoint first"
         )
     anchor = fisher = None
-    if kind in ("l2", "ewc"):
+    if regime.penalty:
         anchor = AnchorParams.from_store(ckpt.params)
-        fisher = FisherDiagonal.ones_like(ckpt.params) if kind == "l2" else ckpt.fisher
+        fisher = ckpt.fisher if regime.penalty == "fisher" else FisherDiagonal.ones_like(ckpt.params)
+    (new_task,) = (TASKS[t] for t in regime.train_tasks)
     return RegimePlan(
-        kind, lam, seed, None, ckpt,
-        attach=(TASK_B.head, TASK_B.n_classes),
-        train_tasks=("b",), eval_tasks=("a", "b"), input_splits=("train_b", "validation"),
-        anchor=anchor, fisher=fisher,
+        kind, lam, seed, None, ckpt, (new_task.head, new_task.n_classes),
+        regime.train_tasks, regime.eval_tasks, splits, anchor=anchor, fisher=fisher,
     )

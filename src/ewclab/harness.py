@@ -19,6 +19,7 @@ import numpy as np
 from . import metrics, network, svgplot, tensor
 from .atomic import write_text
 from .continual import (
+    REGIMES,
     FisherDiagonal,
     RegimePlan,
     build_regime,
@@ -50,16 +51,6 @@ TASK_SPLIT = {"a": "train_a", "b": "train_b"}
 # canonical panel/column order for reports and plots
 CLASS_ORDER = (("a", "csf"), ("a", "gm"), ("a", "wm"), ("b", "wml"))
 
-# Default sweep grids.  The two regularizers live on very different
-# lambda scales: the Fisher importances average ~1e-4 while the L2 anchor
-# weights every parameter at 1, and plain momentum SGD diverges once
-# lr * 2 * lambda * max importance crosses the stability bound.  An
-# empty 'lambda' config entry resolves to the grid of the regime at hand.
-DEFAULT_LAMBDAS = {
-    "l2": (0.01, 0.03, 0.1, 0.3),
-    "ewc": (150.0, 500.0, 1500.0, 3000.0),
-}
-
 
 def seeded_rng(*parts) -> np.random.Generator:
     """Generator for a named seed stream; stable across runs and platforms."""
@@ -79,7 +70,7 @@ def derive_seed(*parts) -> int:
 @dataclass
 class ExperimentConfig:
     regimes: tuple[str, ...] = ()
-    lambdas: tuple[float, ...] = ()  # empty: per-regularizer default grid
+    lambdas: tuple[float, ...] = ()  # empty: each regime's default grid
     seeds: tuple[int, ...] = (1, 2, 3)
     epochs: int = 20
     batch_size: int = 8
@@ -102,11 +93,9 @@ class ExperimentConfig:
     tile: int = 0
 
     def grid_for(self, kind: str) -> tuple[float, ...]:
-        """Lambda grid for a regularized regime: the config's list when
-        given, else the regularizer's default grid."""
-        if self.lambdas:
-            return self.lambdas
-        return DEFAULT_LAMBDAS.get(kind, (0.0,))
+        """Lambda grid for a regime: the config's list when given, else
+        the regime's default grid."""
+        return self.lambdas or REGIMES[kind].lambdas
 
     def validate(self) -> None:
         for key in ("epochs", "batch_size", "image_size", "train_a_count", "train_b_count",
@@ -122,6 +111,10 @@ class ExperimentConfig:
             raise ConfigError(f"config key 'fisher_mode' must be empirical or sampled, got {self.fisher_mode!r}")
         if not self.trunk:
             raise ConfigError("config key 'trunk' must list at least one layer width")
+        if min(self.trunk) < 1:
+            raise ConfigError("config key 'trunk' must list positive layer widths")
+        if self.tile < 0:
+            raise ConfigError("config key 'tile' must be non-negative")
         if self.patch_size < 2 * len(self.trunk) + 1:
             raise ConfigError(
                 f"config key 'patch_size' {self.patch_size} smaller than the receptive field "
@@ -131,14 +124,16 @@ class ExperimentConfig:
             raise ConfigError("config key 'patch_size' exceeds 'image_size'")
         if not self.seeds:
             raise ConfigError("config key 'seeds' must not be empty")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError("config key 'seeds' lists a seed twice")
         for lam in self.lambdas:
             if not (np.isfinite(lam) and lam >= 0):
                 raise ConfigError(f"config key 'lambda' must be finite and non-negative, got {lam:g}")
+        # run ids and every artifact carry lambda as '%g'
+        if len({f"{lam:g}" for lam in self.lambdas}) < len(self.lambdas):
+            raise ConfigError("config key 'lambda' lists values that coincide when written as %g")
         for kind in self.regimes:
             canonical_regime(kind)
-        for kind in self.regimes:
-            if canonical_regime(kind) in ("l2", "ewc") and not self.grid_for(canonical_regime(kind)):
-                raise ConfigError("config key 'lambda' must not be empty for l2/ewc regimes")
 
 
 # external key name -> dataclass attribute (external names match the file syntax)
@@ -618,19 +613,22 @@ def load_run_record(run_dir: str | Path) -> RunRecord:
 def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
     """Execute the regime x lambda x seed grid under the output directory.
 
-    The task-A and task-B single-task baselines run once (first seed) and
-    the task-A run doubles as the shared prerequisite for finetune/l2/ewc;
-    multitask and the sequential regimes run per seed (and per lambda for
-    l2/ewc).  Completed run ids are skipped, and the validation samples
-    and eval patches are built only once a run trains, so a sweep of
-    cache hits generates no data.  A diverging run is recorded in
-    failures.txt without aborting the sweep; a sweep without failures
-    removes the file.
+    Regimes run in ``REGIMES`` order, each once at the first seed or per
+    seed, and a penalized regime per lambda too.  The task-A run doubles
+    as the shared prerequisite of every sequential regime and runs
+    whenever one is requested.  Completed run ids are skipped, and the
+    validation samples and eval patches are built only once a run
+    trains, so a sweep of cache hits generates no data.  A diverging run
+    is recorded in failures.txt without aborting the sweep; a sweep
+    without failures removes the file.
     """
     config.validate()
     if not config.regimes:
         raise ConfigError("config key 'regime' is required for an experiment")
-    regimes = [canonical_regime(k) for k in config.regimes]
+    requested = {canonical_regime(k) for k in config.regimes}
+    sequential = any(REGIMES[k].sequential for k in requested)
+    if sequential:
+        requested.add("dm-a")  # the shared task-A run every sequential regime starts from
     out = Path(config.out_dir)
     runs_dir = out / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
@@ -645,8 +643,8 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
     failures: list[str] = []
     note = progress or (lambda msg: None)
 
-    def ensure(kind: str, lam: float, seed: int, checkpoint_path: str | None = None,
-               critical: bool = False) -> RunRecord | None:
+    def ensure(kind: str, lam: float, seed: int, checkpoint_path: str | None,
+               critical: bool) -> RunRecord | None:
         rid = run_id(kind, lam, seed, digest)
         run_dir = runs_dir / rid
         if (run_dir / "done").exists():
@@ -675,31 +673,25 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
         records.append(record)
         return record
 
-    sequential = [k for k in regimes if k in ("finetune", "l2", "ewc")]
-    shared_a: RunRecord | None = None
-    if "dm-a" in regimes or sequential:
-        # the shared prerequisite run: sequential regimes cannot proceed
-        # without it
-        shared_a = ensure("dm-a", 0.0, config.seeds[0], critical=bool(sequential))
-    if "dm-b" in regimes:
-        ensure("dm-b", 0.0, config.seeds[0])
-    if "multitask" in regimes:
-        for seed in config.seeds:
-            ensure("multitask", 0.0, seed)
-    for kind in ("finetune", "l2", "ewc"):
-        if kind not in regimes:
+    checkpoint = None
+    for kind, regime in REGIMES.items():  # the table lists the task-A run first
+        if kind not in requested:
             continue
-        lams = [0.0] if kind == "finetune" else list(config.grid_for(kind))
+        lams = config.grid_for(kind) if regime.penalty else (0.0,)
+        seeds = config.seeds if regime.per_seed else config.seeds[:1]
         for lam in lams:
-            for seed in config.seeds:
-                ensure(kind, lam, seed, checkpoint_path=shared_a.checkpoint_final)
+            for seed in seeds:
+                # a sequential sweep cannot proceed without the task-A run
+                record = ensure(kind, lam, seed, checkpoint, critical=kind == "dm-a" and sequential)
+                if kind == "dm-a" and record is not None:
+                    checkpoint = record.checkpoint_final
 
     if not failures:
         (out / "failures.txt").unlink(missing_ok=True)
 
     all_rows = [row for record in records for row in record.rows]
     write_text(out / "curves.csv", _csv_text(all_rows))
-    text, csv_text = emit_summary_table(records)
+    text, csv_text = emit_summary_table(all_rows)
     write_text(out / "summary.txt", text)
     write_text(out / "summary.csv", csv_text)
     emit_plots(all_rows, out / "plots")
@@ -710,32 +702,23 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
 # reporting
 # ---------------------------------------------------------------------------
 
-_METHOD_LABEL = {
-    "dm-a": "DM-A",
-    "dm-b": "DM-B",
-    "multitask": "Multi-task",
-    "finetune": "Fine-tune",
-}
-
-
 def _method_label(regime: str, lam: float) -> str:
-    if regime in _METHOD_LABEL:
-        return _METHOD_LABEL[regime]
-    return f"{regime.upper()} λ={lam:g}"
+    r = REGIMES[regime]
+    return f"{r.label} λ={lam:g}" if r.penalty else r.label
 
 
-def emit_summary_table(records: list[RunRecord]) -> tuple[str, str]:
+def emit_summary_table(rows: list[MetricRow]) -> tuple[str, str]:
     """Final full-image DSC% per method (seed means), one row per
-    regime (+lambda); '-' marks tasks the method never trained."""
+    regime (+lambda) in table order; '-' marks tasks the method never
+    trained."""
     cells: dict[tuple[str, float], dict[tuple[str, str], list[float]]] = {}
-    for record in records:
-        key = (record.regime, record.lam)
-        cell = cells.setdefault(key, {})
-        for tc, value in record.final_dice().items():
-            cell.setdefault(tc, []).append(value)
+    for r in rows:
+        if r.scope == "full":
+            cell = cells.setdefault((r.regime, r.lam), {})
+            cell.setdefault((r.task, r.class_name), []).append(r.dice)
 
     order = []
-    for regime in ("dm-a", "dm-b", "multitask", "finetune", "l2", "ewc"):
+    for regime in REGIMES:
         for key in sorted((k for k in cells if k[0] == regime), key=lambda k: k[1]):
             order.append(key)
 
@@ -761,8 +744,9 @@ def emit_summary_table(records: list[RunRecord]) -> tuple[str, str]:
 
 
 def emit_plots(rows: list[MetricRow], plot_dir: str | Path) -> list[Path]:
-    """One SVG per regime: panels per class in task order, one line per
-    lambda (legend ascending), patch-scope DSC% against epoch."""
+    """One SVG per regime of ``REGIMES`` (like the summary, rows of any
+    other regime are ignored): panels per class in task order, one line
+    per lambda (legend ascending), patch-scope DSC% against epoch."""
     plot_dir = Path(plot_dir)
     plot_dir.mkdir(parents=True, exist_ok=True)
     # regime -> (task, class) -> lambda -> epoch -> Dice values in row order
@@ -773,7 +757,7 @@ def emit_plots(rows: list[MetricRow], plot_dir: str | Path) -> list[Path]:
             by_lam.setdefault(r.lam, {}).setdefault(r.epoch, []).append(r.dice)
 
     written = []
-    for regime in sorted(groups):
+    for regime in sorted(groups.keys() & REGIMES.keys()):
         panels = []
         for task_id, class_name in CLASS_ORDER:
             by_lam = groups[regime].get((task_id, class_name))
@@ -787,7 +771,7 @@ def emit_plots(rows: list[MetricRow], plot_dir: str | Path) -> list[Path]:
             panels.append((f"task {task_id.upper()}: {class_name}", series))
         if not panels:
             continue
-        svg = svgplot.line_chart_grid(_method_label(regime, 0.0).split(" ")[0], panels)
+        svg = svgplot.line_chart_grid(REGIMES[regime].label, panels)
         path = plot_dir / f"{regime}.svg"
         write_text(path, svg)
         written.append(path)

@@ -36,11 +36,19 @@ class TestExitCodes:
         assert code == 3
         assert "checkpoint" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("lam", ["-1", "nan"])
+    @pytest.mark.parametrize("lam", ["-1", "nan", "0.1,0.1000001"])
     def test_negative_or_non_finite_lambda_exits_2_before_any_run(self, tmp_path, capsys, lam):
         code = run(["run-experiment", "--regime", "l2", f"--lambda={lam}", "--out", str(tmp_path)] + TINY)
         assert code == 2
         assert "lambda" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("key,value", [("trunk", "0,4"), ("tile", "-5"), ("seeds", "1,1")])
+    def test_out_of_range_config_exits_2_before_any_run(self, tmp_path, capsys, key, value):
+        # after TINY, whose own trunk and seeds it overrides
+        code = run(["run-experiment", "--regime", "dm-a", "--out", str(tmp_path)] + TINY + [f"--{key}={value}"])
+        assert code == 2
+        assert key in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
     def test_ewc_on_checkpoint_without_task_a_exits_3(self, tmp_path, capsys):

@@ -32,7 +32,7 @@ from ewclab.network import (
     leaf_tensors,
     save_checkpoint,
 )
-from ewclab.tensor import Graph, Tensor, add, backward, log_softmax, matmul, nll_loss, reshape
+from ewclab.tensor import Graph, Tensor, add, backward, log_softmax, nll_loss, reshape
 
 
 def tiny_net(seed=0, heads=None):
@@ -72,34 +72,33 @@ def tiny_data(n, seed=0, size=5, classes=2):
 
 class TestEstimateFisher:
     def test_logistic_unit_analytic(self):
-        # p = sigma(theta * x) realized as logits [theta * x, 0]:
-        # d log p(y=1) / d theta = 1 - sigma(theta) = 0.5 at theta = 0
-        store = ParamStore({"theta": np.zeros((1, 1))})
-        selector = np.array([[1.0], [0.0]])
-
-        def forward(leaves, patch):
-            graph = leaves["theta"].graph
-            return log_softmax(matmul(Tensor.const(selector, graph), leaves["theta"]))
-
-        data = [(np.ones((1, 1)), np.array([0]))]
-        scores = list(score_samples(store, data, head="", forward=forward, names=["theta"]))
-        assert scores[0][0] == pytest.approx(0.5, rel=1e-12)
-        fisher = estimate_fisher(store, data, head="", forward=forward, names=["theta"])
-        assert fisher.values[0] == pytest.approx(0.25, rel=1e-12)
+        # an all-zero network has zero features and logits equal to the
+        # head bias: p = (0.5, 0.5) at every pixel, so with every label 0
+        # d log p(y) / d b = onehot(y) - p = (0.5, -0.5), and no other
+        # entry gets a gradient
+        store = tiny_net()
+        for name in store:
+            store[name] = np.zeros_like(store[name])
+        data = [(np.ones((1, 5, 5)), np.zeros(9, dtype=int))]
+        (score,) = score_samples(store, data, "taskA")
+        fisher = estimate_fisher(store, data, "taskA")
+        for name, shape, offset in store.entry_table():
+            size = int(np.prod(shape))
+            entry_score = score[offset : offset + size]
+            entry_fisher = fisher.values[offset : offset + size]
+            if name == "head.taskA.bias":
+                assert entry_score.tolist() == [0.5, -0.5]
+                assert entry_fisher.tolist() == [0.25, 0.25]
+            else:
+                assert not entry_score.any() and not entry_fisher.any(), name
 
     def test_disconnected_parameter_has_zero_fisher(self):
-        store = ParamStore({"theta": np.zeros((1, 1)), "orphan": np.ones(3)})
-        selector = np.array([[1.0], [0.0]])
-
-        def forward(leaves, patch):
-            graph = leaves["theta"].graph
-            return log_softmax(matmul(Tensor.const(selector, graph), leaves["theta"]))
-
-        fisher = estimate_fisher(
-            store, [(np.ones((1, 1)), np.array([0]))], head="",
-            forward=forward, names=["theta", "orphan"],
-        )
-        assert np.all(dict(fisher.to_entries())["orphan"] == 0.0)
+        # a second head takes no part in the first head's likelihood
+        store = tiny_net(seed=4, heads={"taskA": 2, "taskB": 2})
+        fisher = dict(estimate_fisher(store, tiny_data(3, seed=1), "taskA").to_entries())
+        assert fisher["head.taskA.weights"].any()
+        for name in ("head.taskB.weights", "head.taskB.bias"):
+            assert np.all(fisher[name] == 0.0)
 
     def test_matches_brute_force_loop_both_modes(self):
         store = tiny_net(seed=3)

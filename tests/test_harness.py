@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ewclab import harness, network, svgplot, synthtasks, tensor
-from ewclab.continual import FisherDiagonal, FisherProvenance, build_regime
+from ewclab.continual import REGIMES, FisherDiagonal, FisherProvenance, build_regime
 from ewclab.errors import ConfigError, ContractError, DivergenceError
 from ewclab.harness import (
     CSV_HEADER,
@@ -116,6 +116,16 @@ class TestConfig:
             parse_config(overrides={"patch_size": "3", "trunk": "6,6"})
         with pytest.raises(ConfigError):
             parse_config(overrides={"fisher_mode": "exact"})
+        with pytest.raises(ConfigError, match="trunk"):
+            parse_config(overrides={"trunk": "0,4"})
+        with pytest.raises(ConfigError, match="tile"):
+            parse_config(overrides={"tile": "-5"})
+        # run ids and artifacts write lambda as %g: values that coincide
+        # there, or a repeated seed, would share one run
+        with pytest.raises(ConfigError, match="lambda"):
+            parse_config(overrides={"lambda": "0.1,0.1000001"})
+        with pytest.raises(ConfigError, match="seeds"):
+            parse_config(overrides={"seeds": "1,1"})
 
     def test_run_id_stable_across_out_dirs(self, tmp_path):
         a = tiny_config(tmp_path / "one")
@@ -468,7 +478,7 @@ def nested_loop_plots(rows: list[MetricRow], plot_dir) -> None:
             if series:
                 panels.append((f"task {task_id.upper()}: {class_name}", series))
         if panels:
-            title = harness._method_label(regime, 0.0).split(" ")[0]
+            title = REGIMES[regime].label
             (plot_dir / f"{regime}.svg").write_text(svgplot.line_chart_grid(title, panels))
 
 
@@ -476,7 +486,7 @@ class TestReporting:
     def test_summary_values_match_record_finals(self, tmp_path):
         config = tiny_config(tmp_path)
         records = run_experiment(config)
-        text, csv_text = emit_summary_table(records)
+        text, csv_text = emit_summary_table(records[0].rows)
         record = records[0]
         row = csv_text.splitlines()[1].split(",")
         finals = record.final_dice()
