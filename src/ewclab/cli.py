@@ -20,7 +20,6 @@ from .atomic import write_text
 from .continual import REGIMES, build_regime, canonical_regime
 from .errors import ConfigError, DivergenceError, EwcLabError, PrerequisiteError
 from .harness import (
-    CSV_HEADER,
     ExperimentConfig,
     MetricRow,
     _ATTR_TO_KEY,
@@ -63,10 +62,7 @@ def _load_rows(out_dir: Path) -> list[MetricRow]:
     path = out_dir / "curves.csv"
     if not path.exists():
         raise PrerequisiteError(f"no curves.csv under {out_dir}; run an experiment first")
-    lines = path.read_text().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ConfigError(f"{path} does not carry the expected header")
-    return [MetricRow.from_csv_line(line) for line in lines[1:]]
+    return harness.read_metric_rows(path)
 
 
 def cmd_generate_data(args) -> int:
@@ -122,11 +118,9 @@ def cmd_evaluate(args) -> int:
     for task in TASKS.values():
         if task.head not in ckpt.params.spec.heads:
             continue
-        records = metrics.evaluate_model(
-            ckpt.params, task.head, task, validation, "full", tile=config.tile
-        )
-        for r in records:
-            print(f"task {r.task} {r.class_name}: {100.0 * r.dice:.1f}")
+        scores = metrics.evaluate_model(ckpt.params, task.head, task, validation, "full", tile=config.tile)
+        for class_name, value in scores.items():
+            print(f"task {task.task_id} {class_name}: {100.0 * value:.1f}")
     return 0
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -264,22 +264,12 @@ class MetricRow:
 
 
 @dataclass
-class EpochMetrics:
-    epoch: int
-    loss_mean: float | None
-    penalty_mean: float
-    dice: dict[tuple[str, str], float]
-
-
-@dataclass
 class RunRecord:
     run_id: str
     regime: str
     lam: float
     seed: int
     rows: list[MetricRow]
-    epoch_metrics: list[EpochMetrics] = field(default_factory=list)
-    checkpoint_epoch0: str = ""
     checkpoint_final: str = ""
     splits_used: tuple[str, ...] = ()
     duration_s: float = 0.0
@@ -348,19 +338,25 @@ def draw_positions(
     return out
 
 
+def _patch_set(images: list[ScanSample], task: TaskDef, config: ExperimentConfig, count: int, rng):
+    """``count`` (patch, label window) pairs, one drawn position per
+    patch, taking the images in turn."""
+    margin = len(config.trunk)
+    items = []
+    for i in range(count):
+        sample = images[i % len(images)]
+        top, left = draw_positions(sample, task, 1, config.patch_size, rng)[0]
+        items.append(extract_patch(sample, task, top, left, config.patch_size, margin))
+    return items
+
+
 def build_eval_patches(
     validation: list[ScanSample], task: TaskDef, config: ExperimentConfig
 ) -> list[tuple[Array, Array]]:
     """Fixed validation patch set for per-epoch curves; seeded by the
     data seed (not the run seed) so every regime sees the same patches."""
     rng = seeded_rng(config.data_seed, "eval", task.task_id)
-    margin = len(config.trunk)
-    items = []
-    for i in range(config.eval_patches):
-        sample = validation[i % len(validation)]
-        top, left = draw_positions(sample, task, 1, config.patch_size, rng)[0]
-        items.append(extract_patch(sample, task, top, left, config.patch_size, margin))
-    return items
+    return _patch_set(validation, task, config, config.eval_patches, rng)
 
 
 def _epoch_batches(
@@ -428,20 +424,22 @@ def train(
         eval_sets = {t.task_id: build_eval_patches(validation, t, config) for t in eval_tasks}
 
     meta = {"regime": plan.kind, "seed": str(plan.seed), "lambda": f"{plan.lam:g}"}
-    ckpt0 = run_dir / "epoch0.ckpt"
-    network.save_checkpoint(store, ckpt0, metadata={**meta, "epoch": "0"})
+    network.save_checkpoint(store, run_dir / "epoch0.ckpt", metadata={**meta, "epoch": "0"})
 
-    def patch_eval(epoch: int) -> dict[tuple[str, str], float]:
-        out: dict[tuple[str, str], float] = {}
+    rows: list[MetricRow] = []
+
+    def score(epoch: int, scope: str) -> None:
+        """Append one evaluation's Dice rows, tasks then classes in order."""
         for task in eval_tasks:
-            records = metrics.evaluate_model(
-                store, task.head, task, eval_sets[task.task_id], "patch", epoch=epoch
+            samples = eval_sets[task.task_id] if scope == "patch" else validation
+            scores = metrics.evaluate_model(store, task.head, task, samples, scope, tile=config.tile)
+            rows.extend(
+                MetricRow(rid, plan.kind, plan.lam, plan.seed, epoch, scope, task.task_id, name, value)
+                for name, value in scores.items()
             )
-            for r in records:
-                out[(r.task, r.class_name)] = r.dice
-        return out
 
-    epoch_metrics = [EpochMetrics(0, None, 0.0, patch_eval(0))]
+    score(0, "patch")
+    losses: list[tuple[int, float | None, float]] = [(0, None, 0.0)]  # epoch, loss, penalty
 
     train_images = {task.task_id: data.split(TASK_SPLIT[task.task_id]) for task in tasks}
     velocity: dict[str, Array] = {}
@@ -480,29 +478,14 @@ def train(
             penalty_sum += total_value - loss_value
             grads = backward(total)
             sgd_update(store, grads, velocity, config.learning_rate, config.momentum)
-        epoch_metrics.append(
-            EpochMetrics(epoch, loss_sum / steps, penalty_sum / steps, patch_eval(epoch))
-        )
+        losses.append((epoch, loss_sum / steps, penalty_sum / steps))
+        score(epoch, "patch")
 
-    final_records = []
-    for task in eval_tasks:
-        final_records += metrics.evaluate_model(
-            store, task.head, task, validation, "full", epoch=config.epochs, tile=config.tile
-        )
+    score(config.epochs, "full")
 
     fisher = task_a_fisher(store, data.split("train_a"), config) if plan.kind == "dm-a" else None
     ckpt_final = run_dir / "final.ckpt"
     network.save_checkpoint(store, ckpt_final, metadata={**meta, "epoch": str(config.epochs)}, fisher=fisher)
-
-    rows = []
-    for em in epoch_metrics:
-        for (task_id, class_name) in sorted(em.dice):
-            rows.append(
-                MetricRow(rid, plan.kind, plan.lam, plan.seed, em.epoch, "patch",
-                          task_id, class_name, em.dice[(task_id, class_name)])
-            )
-    for r in final_records:
-        rows.append(MetricRow(rid, plan.kind, plan.lam, plan.seed, r.epoch, "full", r.task, r.class_name, r.dice))
 
     record = RunRecord(
         run_id=rid,
@@ -510,26 +493,18 @@ def train(
         lam=plan.lam,
         seed=plan.seed,
         rows=rows,
-        epoch_metrics=epoch_metrics,
-        checkpoint_epoch0=str(ckpt0),
         checkpoint_final=str(ckpt_final),
         splits_used=tuple(sorted(data.accessed)),
         duration_s=time.monotonic() - t0,
     )
-    _write_run_dir(record, config, run_dir)
+    _write_run_dir(record, losses, config, run_dir)
     return record
 
 
 def fisher_patches(images: list[ScanSample], task: TaskDef, config: ExperimentConfig):
     """Seed-determined task-A patches for the importance estimate."""
     rng = seeded_rng(config.data_seed, "fisher")
-    margin = len(config.trunk)
-    out = []
-    for i in range(config.fisher_samples):
-        sample = images[i % len(images)]
-        top, left = draw_positions(sample, task, 1, config.patch_size, rng)[0]
-        out.append(extract_patch(sample, task, top, left, config.patch_size, margin))
-    return out
+    return _patch_set(images, task, config, config.fisher_samples, rng)
 
 
 def task_a_fisher(store: ParamStore, images: list[ScanSample], config: ExperimentConfig) -> FisherDiagonal:
@@ -556,13 +531,12 @@ def _csv_text(rows: list[MetricRow]) -> str:
     return "\n".join([CSV_HEADER] + [r.csv_line() for r in rows]) + "\n"
 
 
-def _write_run_dir(record: RunRecord, config: ExperimentConfig, run_dir: Path) -> None:
+def _write_run_dir(record: RunRecord, losses: list[tuple], config: ExperimentConfig, run_dir: Path) -> None:
     write_text(run_dir / "config.txt", dump_config(config))
     write_text(run_dir / "metrics.csv", _csv_text(record.rows))
     loss_lines = [LOSS_HEADER]
-    for em in record.epoch_metrics:
-        loss = "" if em.loss_mean is None else repr(em.loss_mean)
-        loss_lines.append(f"{record.run_id},{em.epoch},{loss},{em.penalty_mean!r}")
+    for epoch, loss, penalty in losses:
+        loss_lines.append(f"{record.run_id},{epoch},{'' if loss is None else repr(loss)},{penalty!r}")
     write_text(run_dir / "losses.csv", "\n".join(loss_lines) + "\n")
     write_text(
         run_dir / "record.txt",
@@ -581,24 +555,37 @@ def _write_run_dir(record: RunRecord, config: ExperimentConfig, run_dir: Path) -
     write_text(run_dir / "done", "ok\n")
 
 
+def read_metric_rows(path: Path) -> list[MetricRow]:
+    """Rows of a metrics.csv or curves.csv.  A wrong header or a malformed
+    row is a config error naming the file and line."""
+    lines = path.read_text().splitlines()
+    if not lines or lines[0] != CSV_HEADER:
+        raise ConfigError(f"{path} does not carry the expected header")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            rows.append(MetricRow.from_csv_line(line))
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: malformed row {line!r} ({exc})") from None
+    return rows
+
+
 def load_run_record(run_dir: str | Path) -> RunRecord:
     """Rebuild a record from a completed run directory (idempotent skip).
-    Checkpoint paths are derived from ``run_dir``, so a moved output
-    directory still resolves them; unread record.txt keys are ignored."""
+    The final checkpoint path is derived from ``run_dir``, so a moved
+    output directory still resolves it; unread record.txt keys are
+    ignored."""
     run_dir = Path(run_dir)
     fields_txt = {}
     for line in (run_dir / "record.txt").read_text().splitlines():
         key, value = line.split("=", 1)
         fields_txt[key] = value
-    lines = (run_dir / "metrics.csv").read_text().splitlines()
-    rows = [MetricRow.from_csv_line(line) for line in lines[1:]]
     return RunRecord(
         run_id=fields_txt["run_id"],
         regime=fields_txt["regime"],
         lam=float(fields_txt["lambda"]),
         seed=int(fields_txt["seed"]),
-        rows=rows,
-        checkpoint_epoch0=str(run_dir / "epoch0.ckpt"),
+        rows=read_metric_rows(run_dir / "metrics.csv"),
         checkpoint_final=str(run_dir / "final.ckpt"),
         splits_used=tuple(s for s in fields_txt["splits_used"].split(",") if s),
         duration_s=float(fields_txt["duration_s"]),

@@ -9,66 +9,13 @@ class absent from both prediction and reference is *undefined*, not 0 or
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError
 from .network import ParamStore, forward_pass, output_margin
-from .synthtasks import ScanSample, TaskDef
+from .synthtasks import TaskDef
 
 Array = np.ndarray
-
-
-@dataclass
-class ConfusionCounts:
-    """Per-class true-positive / false-positive / false-negative pixel
-    counts; additive across images."""
-
-    tp: Array
-    fp: Array
-    fn: Array
-
-    @classmethod
-    def zeros(cls, n_classes: int) -> "ConfusionCounts":
-        return cls(
-            np.zeros(n_classes, dtype=np.int64),
-            np.zeros(n_classes, dtype=np.int64),
-            np.zeros(n_classes, dtype=np.int64),
-        )
-
-    @classmethod
-    def from_maps(cls, pred: Array, truth: Array, n_classes: int) -> "ConfusionCounts":
-        if pred.shape != truth.shape:
-            raise DimensionError(f"prediction shape {pred.shape} != truth shape {truth.shape}")
-        counts = cls.zeros(n_classes)
-        for c in range(n_classes):
-            p = pred == c
-            t = truth == c
-            counts.tp[c] = np.count_nonzero(p & t)
-            counts.fp[c] = np.count_nonzero(p & ~t)
-            counts.fn[c] = np.count_nonzero(~p & t)
-        return counts
-
-    def add(self, other: "ConfusionCounts") -> None:
-        self.tp += other.tp
-        self.fp += other.fp
-        self.fn += other.fn
-
-    def dice(self, class_id: int) -> float | None:
-        denom = int(2 * self.tp[class_id] + self.fp[class_id] + self.fn[class_id])
-        if denom == 0:
-            return None
-        return 2.0 * int(self.tp[class_id]) / denom
-
-
-@dataclass(frozen=True)
-class DiceRecord:
-    task: str
-    class_name: str
-    dice: float | None
-    scope: str  # 'patch' | 'full'
-    epoch: int
 
 
 def dice(pred: Array, truth: Array, class_id: int) -> float | None:
@@ -121,16 +68,32 @@ def interior(labels: Array, margin: int) -> Array:
     return labels[margin:-margin, margin:-margin] if margin else labels
 
 
+def pooled_dice(pairs, n_classes: int) -> list[float | None]:
+    """Dice per class id from one k x k confusion pooled over every
+    (prediction, truth) pair; None for a class absent from all maps."""
+    k = n_classes
+    confusion = np.zeros(k * k, dtype=np.int64)
+    for pred, truth in pairs:
+        if pred.shape != truth.shape:
+            raise DimensionError(f"prediction shape {pred.shape} != truth shape {truth.shape}")
+        cells = np.asarray(truth, dtype=np.int64) * k + pred
+        confusion += np.bincount(cells.reshape(-1), minlength=k * k)
+    confusion = confusion.reshape(k, k)  # [truth, prediction]
+    hits = np.diag(confusion)
+    sizes = confusion.sum(axis=0) + confusion.sum(axis=1)  # |P| + |T|
+    return [None if size == 0 else 2.0 * int(hit) / int(size) for hit, size in zip(hits, sizes)]
+
+
 def evaluate_model(
     store: ParamStore,
     head: str,
     task: TaskDef,
     samples,
     scope: str,
-    epoch: int = 0,
     tile: int = 0,
-) -> list[DiceRecord]:
-    """Pooled per-class Dice over a sample set.
+) -> dict[str, float]:
+    """Pooled Dice per foreground class name over a sample set, in class
+    order.
 
     scope 'patch': ``samples`` are (patch, truth window) pairs whose truth
     already matches the network's output window.  scope 'full':
@@ -140,21 +103,17 @@ def evaluate_model(
     """
     if scope not in ("patch", "full"):
         raise DimensionError(f"unknown scope {scope!r}")
-    counts = ConfusionCounts.zeros(task.n_classes)
     margin = output_margin(store.spec)
-    for item in samples:
-        if scope == "patch":
-            patch, truth = item
-            pred = predict_patch(store, head, patch)
-        else:
-            sample: ScanSample = item
-            pred = predict_full(store, head, sample.channels, tile=tile)
-            truth = interior(task.labels_of(sample), margin)
-        counts.add(ConfusionCounts.from_maps(pred, truth, task.n_classes))
-    records = []
-    for class_id in range(1, task.n_classes):
-        value = counts.dice(class_id)
-        if value is not None:
-            records.append(DiceRecord(task.task_id, task.class_names[class_id], value, scope, epoch))
-    return records
-
+    if scope == "patch":
+        pairs = ((predict_patch(store, head, patch), truth) for patch, truth in samples)
+    else:
+        pairs = (
+            (predict_full(store, head, s.channels, tile=tile), interior(task.labels_of(s), margin))
+            for s in samples
+        )
+    scores = pooled_dice(pairs, task.n_classes)
+    return {
+        task.class_names[class_id]: scores[class_id]
+        for class_id in range(1, task.n_classes)
+        if scores[class_id] is not None
+    }

@@ -82,18 +82,6 @@ class ParamStore(Mapping[str, Array]):
     def __getitem__(self, name: str) -> Array:
         return self._entries[name]
 
-    def __setitem__(self, name: str, values: Array) -> None:
-        """Replace an existing entry in place; shape must match so flat
-        indexing stays stable.  New entries go through :meth:`add`."""
-        if name not in self._entries:
-            raise HeadError(f"unknown parameter entry {name!r}")
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.shape != self._entries[name].shape:
-            raise DimensionError(
-                f"entry {name!r} shape {self._entries[name].shape} cannot become {arr.shape}"
-            )
-        self._entries[name][...] = arr
-
     def __iter__(self) -> Iterator[str]:
         return iter(self._entries)
 

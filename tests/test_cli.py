@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from ewclab.cli import main
+from ewclab.harness import CSV_HEADER
 from ewclab.network import load_checkpoint
 
 TINY = [
@@ -50,6 +51,18 @@ class TestExitCodes:
         assert code == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["report", "plot"])
+    @pytest.mark.parametrize("bad_row", [
+        "r1,ewc,1,1,two,patch,a,csf,0.5",  # non-integer epoch
+        "r1,ewc,1,1,2,patch,a,csf,0.5,0.7",  # a field too many
+    ])
+    def test_malformed_curves_row_exits_2(self, tmp_path, capsys, command, bad_row):
+        curves = tmp_path / "curves.csv"
+        curves.write_text("\n".join([CSV_HEADER, "r1,ewc,1,1,2,full,a,csf,0.5", bad_row]) + "\n")
+        assert run([command, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{curves}:3" in err
 
     def test_ewc_on_checkpoint_without_task_a_exits_3(self, tmp_path, capsys):
         assert run(["train", "--regime", "dm-b", "--out", str(tmp_path)] + TINY) == 0

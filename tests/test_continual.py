@@ -78,7 +78,7 @@ class TestEstimateFisher:
         # entry gets a gradient
         store = tiny_net()
         for name in store:
-            store[name] = np.zeros_like(store[name])
+            store[name][...] = 0.0
         data = [(np.ones((1, 5, 5)), np.zeros(9, dtype=int))]
         (score,) = score_samples(store, data, "taskA")
         fisher = estimate_fisher(store, data, "taskA")
@@ -179,7 +179,7 @@ class TestPenalty:
         store = tiny_net(seed=4)
         anchor = AnchorParams.from_store(store)
         moved = copy_of(store)
-        moved["trunk.0.kernels"] += 1.0
+        moved["trunk.0.kernels"][...] += 1.0
         pen = ewc_penalty(leaves_of(moved), anchor, FisherDiagonal.ones_like(store), lam=0.0)
         assert pen.values == 0.0
         grads = backward(pen)
@@ -199,7 +199,7 @@ class TestPenalty:
         moved = copy_of(store)
         rng = np.random.default_rng(8)
         for name in moved:
-            moved[name] += rng.normal(scale=0.1, size=moved[name].shape)
+            moved[name][...] += rng.normal(scale=0.1, size=moved[name].shape)
         fisher = estimate_fisher(store, tiny_data(4, seed=3), "taskA")
         lam = 1.7
         graph = Graph()
@@ -215,7 +215,7 @@ class TestPenalty:
         anchor = AnchorParams.from_store(store)
         fisher = FisherDiagonal.ones_like(store)
         grown = attach_head(store, "taskB", 2, seed=1)
-        grown["head.taskB.weights"] += 5.0  # large displacement, no anchor
+        grown["head.taskB.weights"][...] += 5.0  # large displacement, no anchor
         graph = Graph()
         leaves = leaf_tensors(grown, graph)
         pen = ewc_penalty(leaves, anchor, fisher, lam=3.0)
@@ -265,7 +265,7 @@ class TestTotalLoss:
         moved = attach_head(l2.checkpoint.params, "taskB", 2, seed=1)
         rng = np.random.default_rng(1)
         for name in moved:
-            moved[name] += rng.normal(scale=0.05, size=moved[name].shape)
+            moved[name][...] += rng.normal(scale=0.05, size=moved[name].shape)
 
         def run(anchor, fisher, lam):
             out = ewc_penalty(leaves_of(moved), anchor, fisher, lam)

@@ -160,9 +160,9 @@ class TestTrainLoop:
         manifest, gen = load_data(config)
         bank = SampleBank(manifest, gen)
         plan = build_regime("dm-a", 0.0, 1, trunk=config.trunk)
-        record = train(plan, config, bank, tmp_path / "run")
-        ckpt0 = network.load_checkpoint(record.checkpoint_epoch0)
-        fresh = network.init_network(ckpt0.params.spec, plan_seed_init := __import__("ewclab.harness", fromlist=["derive_seed"]).derive_seed(1, "init"))
+        train(plan, config, bank, tmp_path / "run")
+        ckpt0 = network.load_checkpoint(tmp_path / "run" / "epoch0.ckpt")
+        fresh = network.init_network(ckpt0.params.spec, harness.derive_seed(1, "init"))
         for name in fresh:
             assert ckpt0.params[name].tobytes() == fresh[name].tobytes()
 
@@ -250,7 +250,10 @@ class TestExperiment:
         out, config, records = experiment
         for record in records:
             if record.regime in ("dm-a", "dm-b", "multitask", "finetune"):
-                assert all(em.penalty_mean == 0.0 for em in record.epoch_metrics)
+                lines = (out / "runs" / record.run_id / "losses.csv").read_text().splitlines()
+                assert lines[0] == harness.LOSS_HEADER
+                assert len(lines) == 1 + config.epochs + 1
+                assert all(line.split(",")[3] == "0.0" for line in lines[1:])
 
     def test_curves_csv_header_and_rows(self, experiment):
         out, config, records = experiment
@@ -347,8 +350,31 @@ class TestExperiment:
         with open(moved / "record.txt", "a") as fh:
             fh.write("checkpoint_epoch0=/gone/epoch0.ckpt\ncheckpoint_final=/gone/final.ckpt\n")
         reloaded = load_run_record(moved)
-        assert reloaded.checkpoint_epoch0 == str(moved / "epoch0.ckpt")
         assert reloaded.checkpoint_final == str(moved / "final.ckpt")
+
+    def test_metrics_csv_rows_in_evaluation_order(self, experiment):
+        # per epoch the patch rows of task A's classes, then task B's; the
+        # final full-image rows last, in the same order
+        out, config, records = experiment
+        multitask = next(r for r in records if r.regime == "multitask")
+        lines = (out / "runs" / multitask.run_id / "metrics.csv").read_text().splitlines()
+        rows = [MetricRow.from_csv_line(line) for line in lines[1:]]
+        order = [("a", "csf"), ("a", "gm"), ("a", "wm"), ("b", "wml")]
+        patch = [(r.epoch, r.task, r.class_name) for r in rows if r.scope == "patch"]
+        assert patch == [(e, t, c) for e in range(config.epochs + 1) for t, c in order]
+        full = [(r.epoch, r.task, r.class_name) for r in rows if r.scope == "full"]
+        assert full == [(config.epochs, t, c) for t, c in order]
+        assert [r.scope for r in rows] == ["patch"] * len(patch) + ["full"] * len(full)
+
+    def test_malformed_metrics_row_is_a_config_error(self, experiment, tmp_path):
+        out, config, records = experiment
+        copy = tmp_path / "copy"
+        shutil.copytree(out / "runs" / records[0].run_id, copy)
+        lines = (copy / "metrics.csv").read_text().splitlines()
+        lines[3] += ",extra"
+        (copy / "metrics.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=r"metrics\.csv:4"):
+            load_run_record(copy)
 
     def test_epoch0_task_a_curve_matches_dm_a_final_eval(self, experiment):
         out, config, records = experiment

@@ -7,10 +7,10 @@ import pytest
 
 from ewclab.errors import DimensionError
 from ewclab.metrics import (
-    ConfusionCounts,
     dice,
     evaluate_model,
     interior,
+    pooled_dice,
     predict_full,
     predict_patch,
 )
@@ -64,25 +64,30 @@ class TestPooling:
         truth1 = np.array([[0, 1], [0, 0]])
         pred2 = np.ones((4, 4), dtype=np.int64)
         truth2 = np.ones((4, 4), dtype=np.int64)
-        counts = ConfusionCounts.zeros(2)
-        counts.add(ConfusionCounts.from_maps(pred1, truth1, 2))
-        counts.add(ConfusionCounts.from_maps(pred2, truth2, 2))
+        pooled = pooled_dice([(pred1, truth1), (pred2, truth2)], 2)
         # hand count: TP=16, FP=1, FN=1 -> 32/34
-        assert counts.dice(1) == pytest.approx(32.0 / 34.0)
-        per_image_mean = (0.0 + 1.0) / 2.0
-        assert counts.dice(1) != pytest.approx(per_image_mean)
+        assert pooled[1] == pytest.approx(32.0 / 34.0)
+        per_image_mean = (dice(pred1, truth1, 1) + dice(pred2, truth2, 1)) / 2.0
+        assert per_image_mean == 0.5
+        assert pooled[1] != pytest.approx(per_image_mean)
 
     def test_pooled_equals_concatenated_brute_force(self):
         rng = np.random.default_rng(3)
         preds = [rng.integers(0, 3, size=(5, 5)) for _ in range(4)]
         truths = [rng.integers(0, 3, size=(5, 5)) for _ in range(4)]
-        counts = ConfusionCounts.zeros(3)
-        for p, t in zip(preds, truths):
-            counts.add(ConfusionCounts.from_maps(p, t, 3))
+        pooled = pooled_dice(zip(preds, truths), 3)
         big_p = np.concatenate([p.reshape(-1) for p in preds])
         big_t = np.concatenate([t.reshape(-1) for t in truths])
-        for c in range(3):
-            assert counts.dice(c) == dice(big_p, big_t, c)
+        assert pooled == [dice(big_p, big_t, c) for c in range(3)]
+
+    def test_class_absent_everywhere_is_undefined(self):
+        pred = np.array([[0, 2], [2, 0]])
+        truth = np.array([[0, 0], [2, 2]], dtype=np.uint8)
+        assert pooled_dice([(pred, truth)], 3) == [0.5, None, 0.5]
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            pooled_dice([(np.zeros((2, 2), dtype=int), np.zeros((3, 2), dtype=int))], 2)
 
 
 class TestEvaluateModel:
@@ -97,10 +102,9 @@ class TestEvaluateModel:
         # bypass the net: feed predictions equal to truth through the
         # pooled-count path by evaluating dice on identical maps
         truth = interior(self.samples[0].labels_a, self.margin)
-        counts = ConfusionCounts.from_maps(truth, truth, 4)
-        for c in range(4):
-            d = counts.dice(c)
-            assert d is None or d == 1.0
+        pooled = pooled_dice([(truth, truth)], 4)
+        assert pooled == [dice(truth, truth, c) for c in range(4)]
+        assert set(pooled) <= {None, 1.0}
 
     def test_all_background_predictor_gives_zero_lesion_dice(self):
         zeroed = {n: np.zeros_like(self.store[n]) for n in self.store}
@@ -108,23 +112,30 @@ class TestEvaluateModel:
 
         # all-zero logits -> argmax picks class 0 everywhere
         dead = ParamStore(zeroed, spec=self.store.spec)
-        records = evaluate_model(dead, "taskB", TASK_B, self.samples, "full")
-        wml = [r for r in records if r.class_name == "wml"]
-        assert len(wml) == 1
-        assert wml[0].dice == 0.0
+        assert evaluate_model(dead, "taskB", TASK_B, self.samples, "full") == {"wml": 0.0}
 
     def test_full_scope_shapes_and_records(self):
-        records = evaluate_model(self.store, "taskA", TASK_A, self.samples, "full", epoch=3)
-        assert all(r.scope == "full" and r.epoch == 3 and r.task == "a" for r in records)
-        names = {r.class_name for r in records}
-        assert names <= {"csf", "gm", "wm"}
+        # the defined foreground classes in class order, each equal to the
+        # Dice oracle over all interiors concatenated
+        scores = evaluate_model(self.store, "taskA", TASK_A, self.samples, "full")
+        preds = [predict_full(self.store, "taskA", s.channels).reshape(-1) for s in self.samples]
+        truths = [interior(s.labels_a, self.margin).reshape(-1) for s in self.samples]
+        oracle = {
+            name: dice(np.concatenate(preds), np.concatenate(truths), c)
+            for c, name in enumerate(TASK_A.class_names)
+            if c > 0
+        }
+        assert scores == {name: value for name, value in oracle.items() if value is not None}
+        assert list(scores) == [n for n in ("csf", "gm", "wm") if n in scores]
 
     def test_patch_scope(self):
         m = self.margin
         patch = self.samples[0].channels[:, :14, :14]
         truth = self.samples[0].labels_a[m : 14 - m, m : 14 - m]
-        records = evaluate_model(self.store, "taskA", TASK_A, [(patch, truth)], "patch")
-        assert all(r.scope == "patch" for r in records)
+        scores = evaluate_model(self.store, "taskA", TASK_A, [(patch, truth)], "patch")
+        pred = predict_patch(self.store, "taskA", patch)
+        oracle = {name: dice(pred, truth, c) for c, name in enumerate(TASK_A.class_names) if c > 0}
+        assert scores == {name: value for name, value in oracle.items() if value is not None}
 
     def test_tiled_prediction_matches_single_pass(self):
         channels = self.samples[0].channels
