@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import harness, metrics, network
 from .atomic import write_text
-from .continual import REGIMES, build_regime, canonical_regime
+from .continual import REGIMES, build_regime, canonical_regime, load_task_a_checkpoint
 from .errors import ConfigError, DivergenceError, EwcLabError, PrerequisiteError
 from .harness import (
     ExperimentConfig,
@@ -97,7 +97,7 @@ def cmd_fisher(args) -> int:
     config = _gather_config(args)
     if not config.checkpoint:
         raise ConfigError("fisher needs --checkpoint pointing at a task-A checkpoint")
-    ckpt = network.load_checkpoint(config.checkpoint)
+    ckpt = load_task_a_checkpoint(config.checkpoint, "fisher")
     manifest, gen_config = load_data(config)
     bank = SampleBank(manifest, gen_config)
     fisher = harness.task_a_fisher(ckpt.params, bank.split("train_a"), config)

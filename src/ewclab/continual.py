@@ -11,15 +11,15 @@ an all-ones importance vector turns it into the plain L2 anchor.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import network
 from .errors import AlignmentError, ContractError, DataError, PrerequisiteError
-from .network import NetworkSpec, ParamStore
+from .network import NetworkSpec, ParamStore, attach_head, init_network
 from .synthtasks import TASK_A, TASKS
 from .tensor import Graph, Tensor, backward, log_softmax, nll_loss, reshape
 
@@ -79,27 +79,6 @@ class FisherDiagonal:
         """Unit importances: the plain L2 anchor."""
         prov = FisherProvenance(dataset_id="", head="", mode="unit", samples=0)
         return cls(np.ones(store.total_params), tuple(store.entry_table()), prov)
-
-
-class AnchorParams:
-    """Immutable flat snapshot of converged parameters, with the entry
-    table that defines its alignment."""
-
-    def __init__(self, values: Array, entry_table: EntryTable):
-        self.values = np.asarray(values, dtype=np.float64).copy()
-        self.values.flags.writeable = False
-        self.entry_table = tuple(entry_table)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    @classmethod
-    def from_store(cls, store: ParamStore) -> "AnchorParams":
-        return cls(store.flat(), tuple(store.entry_table()))
-
-    def slice_of(self, name: str, shape: tuple[int, ...], offset: int) -> Array:
-        size = int(np.prod(shape, dtype=np.int64))
-        return self.values[offset : offset + size].reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +169,7 @@ def estimate_fisher(
 
 def ewc_penalty(
     leaves: Mapping[str, Tensor],
-    anchor: AnchorParams,
+    anchor: ParamStore,
     fisher: FisherDiagonal,
     lam: float,
 ) -> Tensor:
@@ -200,8 +179,9 @@ def ewc_penalty(
 
     The gradient w.r.t. theta is exactly 2 * lam * F * (theta - anchor).
     """
-    if fisher.entry_table != anchor.entry_table:
-        for (fn, fs, fo), (an, a_s, ao) in zip(fisher.entry_table, anchor.entry_table):
+    table = tuple(anchor.entry_table())
+    if fisher.entry_table != table:
+        for (fn, fs, fo), (an, a_s, ao) in zip(fisher.entry_table, table):
             if (fn, fs, fo) != (an, a_s, ao):
                 raise AlignmentError(f"fisher/anchor entry mismatch at {an!r}")
         raise AlignmentError("fisher and anchor entry tables differ in length")
@@ -209,7 +189,7 @@ def ewc_penalty(
 
     anchored: list[tuple[Tensor, Array, Array]] = []
     total = 0.0
-    for name, shape, offset in anchor.entry_table:
+    for name, shape, offset in table:
         leaf = leaves.get(name)
         if leaf is None:
             raise AlignmentError(f"anchored entry {name!r} missing from parameters")
@@ -217,7 +197,7 @@ def ewc_penalty(
             raise AlignmentError(
                 f"anchored entry {name!r} shape {leaf.shape} != anchor shape {shape}"
             )
-        a = anchor.slice_of(name, shape, offset)
+        a = anchor[name]
         f = fisher.values[offset : offset + a.size].reshape(shape)
         diff = leaf.values - a
         total += lam * float((f * diff * diff).sum())
@@ -275,23 +255,41 @@ def canonical_regime(kind: str) -> str:
     return key
 
 
+def derive_seed(*parts) -> int:
+    """Seed of a named stream; stable across runs and platforms."""
+    text = "/".join(str(p) for p in parts)
+    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "little")
+
+
+def load_task_a_checkpoint(path: str | None, needed_by: str) -> network.Checkpoint:
+    """The checkpoint at ``path``, which must carry a task-A head.  No
+    path, no file or no task-A head raise :class:`PrerequisiteError`."""
+    if not path:
+        raise PrerequisiteError(f"{needed_by} needs a task-A checkpoint; none given")
+    ckpt = network.load_checkpoint(path)
+    if TASK_A.head not in ckpt.params.spec.heads:
+        raise PrerequisiteError(
+            f"checkpoint {str(path)!r} has no {TASK_A.head!r} head; not a task-A checkpoint"
+        )
+    return ckpt
+
+
 @dataclass
 class RegimePlan:
-    """Executable description of one run: where parameters come from,
-    which head to add, which splits may be streamed, and the anchored
-    penalty.  ``anchor`` and ``fisher`` are set for penalized regimes
-    (unit importances or the checkpoint's Fisher), and None otherwise."""
+    """Executable description of one run: the store it starts from, which
+    splits may be streamed, and the anchored penalty.  ``anchor`` (the
+    read-only task-A parameters) and ``fisher`` are set for penalized
+    regimes (unit importances or the checkpoint's Fisher), and None
+    otherwise."""
 
     kind: str
     lam: float
     seed: int
-    scratch_spec: NetworkSpec | None  # from-scratch regimes
-    checkpoint: "network.Checkpoint | None"  # sequential regimes
-    attach: tuple[str, int] | None
+    store: ParamStore
     train_tasks: tuple[str, ...]
     eval_tasks: tuple[str, ...]
     input_splits: tuple[str, ...]
-    anchor: AnchorParams | None = None
+    anchor: ParamStore | None = None
     fisher: FisherDiagonal | None = None
 
 
@@ -301,12 +299,12 @@ def build_regime(
     seed: int = 0,
     checkpoint_path: str | None = None,
     trunk: tuple[int, ...] = (12, 12, 24),
-    in_channels: int = 2,
 ) -> RegimePlan:
     """Plan for one experiment run.
 
-    Sequential regimes need an existing task-A checkpoint; a Fisher
-    penalty additionally needs its embedded Fisher payload.  Missing
+    Scratch regimes start from a seeded initialization; sequential ones
+    from the task-A checkpoint with a seeded new head, and a Fisher
+    penalty additionally needs the checkpoint's Fisher payload.  Missing
     prerequisites raise :class:`PrerequisiteError`; a negative or
     non-finite lambda raises :class:`ContractError`.
     """
@@ -319,30 +317,24 @@ def build_regime(
 
     if not regime.sequential:
         heads = {TASKS[t].head: TASKS[t].n_classes for t in regime.train_tasks}
-        spec = NetworkSpec(in_channels=in_channels, trunk=tuple(trunk), heads=heads)
-        return RegimePlan(kind, 0.0, seed, spec, None, None,
-                          regime.train_tasks, regime.eval_tasks, splits)
+        store = init_network(NetworkSpec(trunk=tuple(trunk), heads=heads), derive_seed(seed, "init"))
+        return RegimePlan(kind, 0.0, seed, store, regime.train_tasks, regime.eval_tasks, splits)
 
-    if not checkpoint_path or not Path(checkpoint_path).exists():
-        raise PrerequisiteError(
-            f"regime {kind!r} needs a task-A checkpoint; not found at {checkpoint_path!r}"
-        )
-    ckpt = network.load_checkpoint(checkpoint_path)
-    if TASK_A.head not in (ckpt.params.spec.heads if ckpt.params.spec else {}):
-        raise PrerequisiteError(
-            f"checkpoint {checkpoint_path!r} has no {TASK_A.head!r} head; not a task-A checkpoint"
-        )
+    ckpt = load_task_a_checkpoint(checkpoint_path, f"regime {kind!r}")
     if regime.penalty == "fisher" and ckpt.fisher is None:
         raise PrerequisiteError(
             f"regime {kind!r} needs a Fisher payload inside {checkpoint_path!r}; "
             "run the fisher step on the task-A checkpoint first"
         )
+    (new_task,) = (TASKS[t] for t in regime.train_tasks)
+    store = attach_head(ckpt.params, new_task.head, new_task.n_classes, derive_seed(seed, "head"))
     anchor = fisher = None
     if regime.penalty:
-        anchor = AnchorParams.from_store(ckpt.params)
-        fisher = ckpt.fisher if regime.penalty == "fisher" else FisherDiagonal.ones_like(ckpt.params)
-    (new_task,) = (TASKS[t] for t in regime.train_tasks)
+        anchor = ckpt.params
+        for values in anchor.values():
+            values.flags.writeable = False
+        fisher = ckpt.fisher if regime.penalty == "fisher" else FisherDiagonal.ones_like(anchor)
     return RegimePlan(
-        kind, lam, seed, None, ckpt, (new_task.head, new_task.n_classes),
-        regime.train_tasks, regime.eval_tasks, splits, anchor=anchor, fisher=fisher,
+        kind, lam, seed, store, regime.train_tasks, regime.eval_tasks, splits,
+        anchor=anchor, fisher=fisher,
     )

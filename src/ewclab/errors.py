@@ -54,7 +54,7 @@ class ConfigError(EwcLabError):
 
 
 class PrerequisiteError(EwcLabError):
-    """A regime's required checkpoint or Fisher payload is missing. CLI exit code 3."""
+    """A required checkpoint, task-A head or Fisher payload is missing. CLI exit code 3."""
 
 
 class DivergenceError(EwcLabError):

@@ -24,11 +24,12 @@ from .continual import (
     RegimePlan,
     build_regime,
     canonical_regime,
+    derive_seed,
     estimate_fisher,
     ewc_penalty,
 )
 from .errors import ConfigError, ContractError, DivergenceError
-from .network import ParamStore, init_network, leaf_tensors, output_margin, sgd_update
+from .network import ParamStore, leaf_tensors, output_margin, sgd_update
 from .synthtasks import (
     TASKS,
     GeneratorConfig,
@@ -47,19 +48,13 @@ Array = np.ndarray
 CSV_HEADER = "run_id,regime,lambda,seed,epoch,scope,task,class,dice"
 LOSS_HEADER = "run_id,epoch,loss_mean,penalty_mean"
 
-TASK_SPLIT = {"a": "train_a", "b": "train_b"}
 # canonical panel/column order for reports and plots
-CLASS_ORDER = (("a", "csf"), ("a", "gm"), ("a", "wm"), ("b", "wml"))
+CLASS_ORDER = tuple((t.task_id, name) for t in TASKS.values() for name in t.foreground)
 
 
 def seeded_rng(*parts) -> np.random.Generator:
     """Generator for a named seed stream; stable across runs and platforms."""
     return np.random.default_rng(derive_seed(*parts))
-
-
-def derive_seed(*parts) -> int:
-    text = "/".join(str(p) for p in parts)
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "little")
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +98,10 @@ class ExperimentConfig:
                     "fisher_samples"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"config key {key!r} must be positive")
-        if self.learning_rate <= 0:
-            raise ConfigError("config key 'learning_rate' must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError("config key 'learning_rate' must be finite and positive")
+        if self.data_seed < 0:
+            raise ConfigError("config key 'data_seed' must be non-negative")
         if not 0 <= self.momentum < 1:
             raise ConfigError("config key 'momentum' must lie in [0, 1)")
         if self.fisher_mode not in ("empirical", "sampled"):
@@ -223,15 +220,11 @@ def run_id(regime: str, lam: float, seed: int, digest: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def generator_config(config: ExperimentConfig) -> GeneratorConfig:
-    return GeneratorConfig(image_size=config.image_size)
-
-
 def load_data(config: ExperimentConfig) -> tuple[SplitManifest, GeneratorConfig]:
     if config.data_manifest:
         return parse_manifest(Path(config.data_manifest).read_text())
     counts = (config.train_a_count, config.train_b_count, config.val_count)
-    return make_splits(counts, config.data_seed), generator_config(config)
+    return make_splits(counts, config.data_seed), GeneratorConfig(image_size=config.image_size)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +311,6 @@ def draw_positions(
     count: int,
     size: int,
     rng: np.random.Generator,
-    fg_bias: float = 0.5,
 ) -> list[tuple[int, int]]:
     """Patch corners, half biased to be centered on a foreground pixel of
     the task (clamped to the image); sparse classes stay in view."""
@@ -327,7 +319,7 @@ def draw_positions(
     fg = np.argwhere(task.labels_of(sample) > 0)
     out = []
     for _ in range(count):
-        if fg.size and rng.random() < fg_bias:
+        if fg.size and rng.random() < 0.5:
             cy, cx = fg[int(rng.integers(len(fg)))]
             top = int(np.clip(cy - size // 2, 0, max_corner))
             left = int(np.clip(cx - size // 2, 0, max_corner))
@@ -408,12 +400,8 @@ def train(
     run_dir.mkdir(parents=True, exist_ok=True)
     data = PlanData(bank, plan.input_splits, plan.kind)
 
-    if plan.scratch_spec is not None:
-        store = init_network(plan.scratch_spec, derive_seed(plan.seed, "init"))
-    else:
-        store = network.attach_head(
-            plan.checkpoint.params, plan.attach[0], plan.attach[1], derive_seed(plan.seed, "head")
-        )
+    # a copy: the plan's store stays as built, so a plan trains the same twice
+    store = ParamStore(plan.store, spec=plan.store.spec)
     spec = store.spec
     margin = output_margin(spec)
     tasks = [TASKS[t] for t in plan.train_tasks]
@@ -441,7 +429,7 @@ def train(
     score(0, "patch")
     losses: list[tuple[int, float | None, float]] = [(0, None, 0.0)]  # epoch, loss, penalty
 
-    train_images = {task.task_id: data.split(TASK_SPLIT[task.task_id]) for task in tasks}
+    train_images = {task.task_id: data.split(f"train_{task.task_id}") for task in tasks}
     velocity: dict[str, Array] = {}
 
     for epoch in range(1, config.epochs + 1):

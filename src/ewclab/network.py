@@ -17,7 +17,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .atomic import atomic_open
-from .errors import DimensionError, FormatError, HeadError
+from .errors import DimensionError, FormatError, HeadError, PrerequisiteError
 from .tensor import Graph, GradientMap, Tensor, conv2d, relu
 
 Array = np.ndarray
@@ -330,10 +330,14 @@ def _parse_header(text: str) -> dict[str, str]:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; bad magic, version or truncation raise
-    :class:`FormatError` with the failing byte offset."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """Read a checkpoint; a missing file raises :class:`PrerequisiteError`,
+    and bad magic, version or truncation raise :class:`FormatError` with
+    the failing byte offset."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        raise PrerequisiteError(f"no checkpoint at {str(path)!r}") from None
     r = _Reader(data)
     magic = r.take(4, "magic")
     if magic != CHECKPOINT_MAGIC:

@@ -26,12 +26,9 @@ def _fmt(v: float) -> str:
 def line_chart_grid(
     title: str,
     panels: list[tuple[str, list[tuple[str, list[tuple[float, float]]]]]],
-    x_label: str = "epoch",
-    y_label: str = "DSC%",
-    y_range: tuple[float, float] = (0.0, 100.0),
 ) -> str:
-    """One row of panels; each panel holds labelled series of (x, y)
-    points.  Series colors follow label order, shared across panels."""
+    """One row of panels; each panel holds labelled series of (epoch,
+    DSC%) points.  Series colors follow label order, shared across panels."""
     labels: list[str] = []
     for _, series in panels:
         for label, _ in series:
@@ -43,7 +40,7 @@ def line_chart_grid(
     x_min, x_max = (min(xs), max(xs)) if xs else (0.0, 1.0)
     if x_min == x_max:
         x_max = x_min + 1.0
-    y_min, y_max = y_range
+    y_min, y_max = 0.0, 100.0  # DSC%
 
     total_w = MARGIN_L + len(panels) * (PANEL_W + MARGIN_R)
     total_h = TITLE_H + PANEL_H + MARGIN_T + MARGIN_B + LEGEND_H
@@ -90,7 +87,7 @@ def line_chart_grid(
                 f'<text x="{_fmt(sx(p, xt))}" y="{top + PANEL_H + 14}" text-anchor="middle">{xt:g}</text>'
             )
         parts.append(
-            f'<text x="{left + PANEL_W / 2:.1f}" y="{top + PANEL_H + 28}" text-anchor="middle">{x_label}</text>'
+            f'<text x="{left + PANEL_W / 2:.1f}" y="{top + PANEL_H + 28}" text-anchor="middle">epoch</text>'
         )
         for label, pts in series:
             if not pts:
@@ -102,7 +99,7 @@ def line_chart_grid(
 
     parts.append(
         f'<text x="14" y="{TITLE_H + MARGIN_T + PANEL_H / 2:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 14 {TITLE_H + MARGIN_T + PANEL_H / 2:.1f})">{y_label}</text>'
+        f'transform="rotate(-90 14 {TITLE_H + MARGIN_T + PANEL_H / 2:.1f})">DSC%</text>'
     )
 
     lx = MARGIN_L

@@ -44,10 +44,14 @@ class TestExitCodes:
         assert "lambda" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("key,value", [("trunk", "0,4"), ("tile", "-5"), ("seeds", "1,1")])
+    @pytest.mark.parametrize("key,value", [
+        ("trunk", "0,4"), ("tile", "-5"), ("seeds", "1,1"),
+        ("learning_rate", "nan"), ("learning_rate", "inf"), ("data_seed", "-1"),
+    ])
     def test_out_of_range_config_exits_2_before_any_run(self, tmp_path, capsys, key, value):
         # after TINY, whose own trunk and seeds it overrides
-        code = run(["run-experiment", "--regime", "dm-a", "--out", str(tmp_path)] + TINY + [f"--{key}={value}"])
+        flag = f"--{key.replace('_', '-')}={value}"
+        code = run(["run-experiment", "--regime", "dm-a", "--out", str(tmp_path)] + TINY + [flag])
         assert code == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
@@ -67,9 +71,22 @@ class TestExitCodes:
     def test_ewc_on_checkpoint_without_task_a_exits_3(self, tmp_path, capsys):
         assert run(["train", "--regime", "dm-b", "--out", str(tmp_path)] + TINY) == 0
         ckpt = next((tmp_path / "runs").iterdir()) / "final.ckpt"
-        code = run(["train", "--regime", "ewc", "--lambda", "1", "--checkpoint", str(ckpt),
-                    "--out", str(tmp_path / "e")] + TINY)
+        capsys.readouterr()
+        for command in (["train", "--regime", "ewc", "--lambda", "1"], ["fisher"]):
+            code = run(command + ["--checkpoint", str(ckpt), "--out", str(tmp_path / "e")] + TINY)
+            assert code == 3, command
+            assert capsys.readouterr().err.startswith("prerequisite error: "), command
+
+    @pytest.mark.parametrize("command", [
+        ["fisher"], ["evaluate"], ["train", "--regime", "finetune"],
+    ], ids=["fisher", "evaluate", "train"])
+    def test_missing_checkpoint_exits_3(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing.ckpt"
+        code = run(command + ["--checkpoint", str(missing), "--out", str(tmp_path)] + TINY)
         assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("prerequisite error: ") and str(missing) in err
+        assert not (tmp_path / "runs").exists()
 
 
 class TestCommands:

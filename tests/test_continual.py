@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from ewclab.continual import (
-    AnchorParams,
     FisherDiagonal,
     FisherProvenance,
     build_regime,
@@ -171,13 +170,13 @@ class TestEstimateFisher:
 class TestPenalty:
     def test_zero_displacement(self):
         store = tiny_net(seed=4)
-        anchor = AnchorParams.from_store(store)
+        anchor = copy_of(store)
         fisher = FisherDiagonal.ones_like(store)
         assert ewc_penalty(leaves_of(store), anchor, fisher, lam=2.5).values == 0.0
 
     def test_lambda_zero(self):
         store = tiny_net(seed=4)
-        anchor = AnchorParams.from_store(store)
+        anchor = copy_of(store)
         moved = copy_of(store)
         moved["trunk.0.kernels"][...] += 1.0
         pen = ewc_penalty(leaves_of(moved), anchor, FisherDiagonal.ones_like(store), lam=0.0)
@@ -187,7 +186,7 @@ class TestPenalty:
 
     def test_direct_evaluation(self):
         store = ParamStore({"w": np.array([1.0, 1.0])})
-        anchor = AnchorParams(np.zeros(2), tuple(store.entry_table()))
+        anchor = ParamStore({"w": np.zeros(2)})
         fisher = FisherDiagonal(np.array([1.0, 2.0]), tuple(store.entry_table()),
                                 FisherProvenance("", "", "", 0))
         pen = ewc_penalty(leaves_of(store), anchor, fisher, lam=0.5)
@@ -195,7 +194,7 @@ class TestPenalty:
 
     def test_gradient_exact(self):
         store = tiny_net(seed=6)
-        anchor = AnchorParams.from_store(store)
+        anchor = copy_of(store)
         moved = copy_of(store)
         rng = np.random.default_rng(8)
         for name in moved:
@@ -206,13 +205,13 @@ class TestPenalty:
         leaves = leaf_tensors(moved, graph)
         grads = backward(ewc_penalty(leaves, anchor, fisher, lam))
         importance = dict(fisher.to_entries())
-        for name, shape, offset in anchor.entry_table:
-            expect = 2.0 * lam * importance[name] * (moved[name] - anchor.slice_of(name, shape, offset))
+        for name in anchor:
+            expect = 2.0 * lam * importance[name] * (moved[name] - anchor[name])
             assert np.max(np.abs(grads[name] - expect)) < 1e-12
 
     def test_new_head_contributes_nothing_and_gets_zero_gradient(self):
         store = tiny_net(seed=6)
-        anchor = AnchorParams.from_store(store)
+        anchor = copy_of(store)
         fisher = FisherDiagonal.ones_like(store)
         grown = attach_head(store, "taskB", 2, seed=1)
         grown["head.taskB.weights"][...] += 5.0  # large displacement, no anchor
@@ -224,9 +223,15 @@ class TestPenalty:
         assert np.all(grads["head.taskB.weights"] == 0.0)
         assert np.all(grads["head.taskB.bias"] == 0.0)
 
+    def test_fisher_and_anchor_tables_must_match(self):
+        store = tiny_net(seed=6)
+        grown = attach_head(store, "taskB", 2, seed=1)
+        with pytest.raises(AlignmentError, match="differ in length"):
+            ewc_penalty(leaves_of(grown), copy_of(store), FisherDiagonal.ones_like(grown), lam=1.0)
+
     def test_alignment_mismatch_names_entry(self):
         store = tiny_net(seed=6)
-        anchor = AnchorParams.from_store(store)
+        anchor = copy_of(store)
         fisher = FisherDiagonal.ones_like(store)
         renamed = ParamStore({("x" + n if n == "trunk.0.bias" else n): store[n] for n in store})
         with pytest.raises(AlignmentError, match="trunk.0.bias"):
@@ -248,7 +253,7 @@ class TestTotalLoss:
 
     def test_zero_displacement_keeps_task_loss(self):
         store = tiny_net(seed=2)
-        anchor = AnchorParams.from_store(store)
+        anchor = copy_of(store)
         graph = Graph()
         leaves = leaf_tensors(store, graph)
         task = Tensor.const(np.asarray(0.7), graph)
@@ -262,7 +267,7 @@ class TestTotalLoss:
         l2 = build_regime("l2", lam=0.8, seed=1, checkpoint_path=path)
         ewc = build_regime("ewc", lam=0.8, seed=1, checkpoint_path=path)
         unit = FisherDiagonal(np.ones(len(ewc.fisher)), ewc.fisher.entry_table, ewc.fisher.provenance)
-        moved = attach_head(l2.checkpoint.params, "taskB", 2, seed=1)
+        moved = attach_head(l2.anchor, "taskB", 2, seed=1)
         rng = np.random.default_rng(1)
         for name in moved:
             moved[name][...] += rng.normal(scale=0.05, size=moved[name].shape)
@@ -282,21 +287,31 @@ class TestTotalLoss:
 
 class TestBuildRegime:
     def test_dm_a_plan(self):
-        plan = build_regime("DM-A", seed=1, trunk=(3,), in_channels=1)
+        plan = build_regime("DM-A", seed=1, trunk=(3,))
         assert plan.kind == "dm-a"
         assert plan.train_tasks == ("a",)
         assert plan.input_splits == ("train_a", "validation")
         assert plan.anchor is None and plan.fisher is None
-        assert plan.scratch_spec.heads == {"taskA": 4}
+        assert plan.store.spec.heads == {"taskA": 4}
 
     def test_finetune_equals_ewc_lambda_zero_structurally(self, tmp_path):
         path = task_a_checkpoint(tmp_path)
         ft = build_regime("finetune", seed=1, checkpoint_path=str(path))
         ewc0 = build_regime("ewc", lam=0.0, seed=1, checkpoint_path=str(path))
-        assert ft.attach == ewc0.attach == ("taskB", 2)
+        assert ft.store.spec.heads == ewc0.store.spec.heads == {"taskA": 4, "taskB": 2}
         assert ft.train_tasks == ewc0.train_tasks == ("b",)
         assert ft.input_splits == ewc0.input_splits
         assert ewc0.lam == 0.0
+        # both start from the same bits
+        assert list(ft.store) == list(ewc0.store)
+        for name in ft.store:
+            assert ft.store[name].tobytes() == ewc0.store[name].tobytes()
+
+    def test_anchor_rejects_in_place_writes(self, tmp_path):
+        plan = build_regime("l2", lam=1.0, seed=1, checkpoint_path=str(task_a_checkpoint(tmp_path)))
+        for name in plan.anchor:
+            with pytest.raises(ValueError, match="read-only"):
+                plan.anchor[name][...] += 1.0
 
     def test_ewc_without_fisher_rejected(self, tmp_path):
         path = task_a_checkpoint(tmp_path, with_fisher=False)
@@ -324,7 +339,7 @@ class TestBuildRegime:
         plan = build_regime("multi-task", seed=1)
         assert plan.kind == "multitask"
         assert plan.train_tasks == ("a", "b")
-        assert set(plan.scratch_spec.heads) == {"taskA", "taskB"}
+        assert set(plan.store.spec.heads) == {"taskA", "taskB"}
 
     def test_unknown_kind(self):
         with pytest.raises(ContractError):

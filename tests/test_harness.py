@@ -155,6 +155,19 @@ class TestTrainLoop:
         ck_b = (tmp_path / "two" / "run" / "final.ckpt").read_bytes()
         assert ck_a == ck_b
 
+    def test_one_plan_trained_twice_writes_identical_bytes(self, tmp_path):
+        # train works on a copy of the plan's store, so the second run
+        # starts where the first did
+        config = tiny_config(tmp_path)
+        (dm_a,) = run_experiment(config)
+        bank = SampleBank(*load_data(config))
+        plan = build_regime("ewc", 1.0, 1, dm_a.checkpoint_final, trunk=config.trunk)
+        for name in ("one", "two"):
+            train(plan, config, bank, tmp_path / name)
+        for artifact in ("metrics.csv", "losses.csv", "final.ckpt"):
+            one = (tmp_path / "one" / artifact).read_bytes()
+            assert one == (tmp_path / "two" / artifact).read_bytes(), artifact
+
     def test_epoch0_checkpoint_is_pretraining_state(self, tmp_path):
         config = tiny_config(tmp_path)
         manifest, gen = load_data(config)
