@@ -113,30 +113,19 @@ def score_samples(
     spec = params.spec
     if spec is None:
         raise ContractError("store has no network spec")
-    names = network.forward_names(spec, head)
-    classes = spec.heads[head]
     rng = np.random.default_rng(rng_seed)
-    table = params.entry_table()
-    total = params.total_params
     for patch, labels in data:
-        graph = Graph()
-        leaves = network.leaf_tensors(params, graph, names)
+        leaves = network.leaf_tensors(params, Graph())
         logits = network.forward_logits(leaves, spec, patch, head)
-        n = logits.values.shape[1] * logits.values.shape[2]
-        log_probs = log_softmax(reshape(logits, (classes, n)))
+        classes = logits.values.shape[0]
+        log_probs = log_softmax(reshape(logits, (classes, logits.values.size // classes)))
         if mode == "sampled":
             y = _sample_labels(log_probs.values, rng)
         else:
             y = np.asarray(labels).reshape(-1)
         loss = nll_loss(log_probs, y)  # mean negative log-likelihood
-        grads = backward(loss)
-        score = np.zeros(total)
-        for name, shape, offset in table:
-            g = grads.get(name)
-            if g is not None:
-                size = int(np.prod(shape, dtype=np.int64))
-                score[offset : offset + size] = -g.reshape(-1)
-        yield score
+        # the gradient map lists every store entry in store order
+        yield -np.concatenate([g.reshape(-1) for g in backward(loss).values()])
 
 
 def estimate_fisher(

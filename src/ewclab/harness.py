@@ -28,7 +28,7 @@ from .continual import (
     estimate_fisher,
     ewc_penalty,
 )
-from .errors import ConfigError, ContractError, DivergenceError
+from .errors import ConfigError, ContractError, DivergenceError, EwcLabError, PrerequisiteError
 from .network import ParamStore, leaf_tensors, output_margin, sgd_update
 from .synthtasks import (
     TASKS,
@@ -124,11 +124,13 @@ class ExperimentConfig:
         if len(set(self.seeds)) < len(self.seeds):
             raise ConfigError("config key 'seeds' lists a seed twice")
         for lam in self.lambdas:
-            if not (np.isfinite(lam) and lam >= 0):
-                raise ConfigError(f"config key 'lambda' must be finite and non-negative, got {lam:g}")
-        # run ids and every artifact carry lambda as '%g'
-        if len({f"{lam:g}" for lam in self.lambdas}) < len(self.lambdas):
-            raise ConfigError("config key 'lambda' lists values that coincide when written as %g")
+            # run ids and every artifact write lambda as '%g': training uses that value
+            if not (np.isfinite(lam) and lam >= 0 and float(f"{lam:g}") == lam):
+                raise ConfigError(
+                    f"config key 'lambda' takes finite values >= 0 equal to their %g text, got {lam!r}"
+                )
+        if len(set(self.lambdas)) < len(self.lambdas):
+            raise ConfigError("config key 'lambda' lists a value twice")
         for kind in self.regimes:
             canonical_regime(kind)
 
@@ -167,7 +169,7 @@ def parse_config(path: str | Path | None = None, overrides: dict[str, str] | Non
         values[attr] = _parse_value(attr, raw, attrs[attr])
 
     if path is not None:
-        text = Path(path).read_text()
+        text = _read_file(path, ConfigError, "config file").decode("utf-8")
         for lineno, line in enumerate(text.splitlines(), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -208,7 +210,7 @@ def config_digest(config: ExperimentConfig) -> str:
             continue
         value = getattr(config, f.name)
         if f.name == "data_manifest" and value:
-            value = "sha256:" + hashlib.sha256(Path(value).read_bytes()).hexdigest()
+            value = "sha256:" + hashlib.sha256(_read_file(value, PrerequisiteError, "data manifest")).hexdigest()
         lines.append(f"{f.name}={value}")
     lines.append(f"core_version={tensor.CORE_VERSION}")
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
@@ -220,9 +222,18 @@ def run_id(regime: str, lam: float, seed: int, digest: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
+def _read_file(path, missing: type[EwcLabError], what: str) -> bytes:
+    """The bytes of ``path``; a missing file raises ``missing`` naming it."""
+    try:
+        return Path(path).read_bytes()
+    except FileNotFoundError:
+        raise missing(f"no {what} at {str(path)!r}") from None
+
+
 def load_data(config: ExperimentConfig) -> tuple[SplitManifest, GeneratorConfig]:
     if config.data_manifest:
-        return parse_manifest(Path(config.data_manifest).read_text())
+        text = _read_file(config.data_manifest, PrerequisiteError, "data manifest").decode("utf-8")
+        return parse_manifest(text)
     counts = (config.train_a_count, config.train_b_count, config.val_count)
     return make_splits(counts, config.data_seed), GeneratorConfig(image_size=config.image_size)
 
@@ -443,10 +454,7 @@ def train(
         loss_sum = 0.0
         penalty_sum = 0.0
         for step in range(steps):
-            graph = Graph()
-            # leaves for every entry: the anchored task-A head takes part
-            # in the penalty even though task-B batches never touch it
-            leaves = leaf_tensors(store, graph)
+            leaves = leaf_tensors(store, Graph())
             task_losses = []
             for task in tasks:
                 batches = per_task_batches[task.task_id]
@@ -544,9 +552,10 @@ def _write_run_dir(record: RunRecord, losses: list[tuple], config: ExperimentCon
 
 
 def read_metric_rows(path: Path) -> list[MetricRow]:
-    """Rows of a metrics.csv or curves.csv.  A wrong header or a malformed
-    row is a config error naming the file and line."""
-    lines = path.read_text().splitlines()
+    """Rows of a metrics.csv or curves.csv.  A missing file, a wrong
+    header or a malformed row is a config error naming the file (and
+    line)."""
+    lines = _read_file(path, ConfigError, "metric rows").decode("utf-8").splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"{path} does not carry the expected header")
     rows = []
@@ -562,22 +571,31 @@ def load_run_record(run_dir: str | Path) -> RunRecord:
     """Rebuild a record from a completed run directory (idempotent skip).
     The final checkpoint path is derived from ``run_dir``, so a moved
     output directory still resolves it; unread record.txt keys are
-    ignored."""
+    ignored.  A missing file, a malformed line or a missing or
+    unparsable key is a config error naming the file (and line)."""
     run_dir = Path(run_dir)
+    path = run_dir / "record.txt"
     fields_txt = {}
-    for line in (run_dir / "record.txt").read_text().splitlines():
-        key, value = line.split("=", 1)
+    lines = _read_file(path, ConfigError, "run record").decode("utf-8").splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigError(f"{path}:{lineno}: malformed line {line!r}")
         fields_txt[key] = value
-    return RunRecord(
-        run_id=fields_txt["run_id"],
-        regime=fields_txt["regime"],
-        lam=float(fields_txt["lambda"]),
-        seed=int(fields_txt["seed"]),
-        rows=read_metric_rows(run_dir / "metrics.csv"),
-        checkpoint_final=str(run_dir / "final.ckpt"),
-        splits_used=tuple(s for s in fields_txt["splits_used"].split(",") if s),
-        duration_s=float(fields_txt["duration_s"]),
-    )
+    rows = read_metric_rows(run_dir / "metrics.csv")
+    try:
+        return RunRecord(
+            run_id=fields_txt["run_id"],
+            regime=fields_txt["regime"],
+            lam=float(fields_txt["lambda"]),
+            seed=int(fields_txt["seed"]),
+            rows=rows,
+            checkpoint_final=str(run_dir / "final.ckpt"),
+            splits_used=tuple(s for s in fields_txt["splits_used"].split(",") if s),
+            duration_s=float(fields_txt["duration_s"]),
+        )
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"{path}: missing or malformed key ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -604,11 +622,10 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
     sequential = any(REGIMES[k].sequential for k in requested)
     if sequential:
         requested.add("dm-a")  # the shared task-A run every sequential regime starts from
+    manifest, gen_config = load_data(config)
     out = Path(config.out_dir)
     runs_dir = out / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
-
-    manifest, gen_config = load_data(config)
     write_text(out / "manifest.txt", manifest_text(manifest, gen_config))
     digest = config_digest(config)
     bank = SampleBank(manifest, gen_config)
@@ -697,7 +714,7 @@ def emit_summary_table(rows: list[MetricRow]) -> tuple[str, str]:
         for key in sorted((k for k in cells if k[0] == regime), key=lambda k: k[1]):
             order.append(key)
 
-    headers = ["Method", "CSF", "GM", "WM", "WML"]
+    headers = ["Method"] + [name.upper() for _, name in CLASS_ORDER]
     body = []
     for regime, lam in order:
         cell = cells[(regime, lam)]
@@ -714,7 +731,7 @@ def emit_summary_table(rows: list[MetricRow]) -> tuple[str, str]:
     text_lines = [fmt_row(headers), fmt_row(["-" * w for w in widths])]
     text_lines += [fmt_row(row) for row in body]
     text = "\n".join(text_lines) + "\n"
-    csv_text = "\n".join(["method,csf,gm,wm,wml"] + [",".join(row) for row in body]) + "\n"
+    csv_text = "\n".join([",".join(headers).lower()] + [",".join(row) for row in body]) + "\n"
     return text, csv_text
 
 

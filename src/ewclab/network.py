@@ -5,7 +5,9 @@ The trunk is a stack of valid 3x3 convolutions with ReLU; each head is a
 1x1 convolution over the last trunk feature map, so every head reads the
 same shared representation.  Parameters live in a :class:`ParamStore`
 whose insertion order defines a stable flat index space [0, K): the
-Fisher diagonal and anchor snapshots align to it.
+Fisher diagonal and the per-sample score vectors align to it.  Every
+computation graph holds a leaf per store entry, so a gradient map always
+covers the whole store.
 """
 
 from __future__ import annotations
@@ -153,36 +155,22 @@ def attach_head(store: ParamStore, head_name: str, classes: int, seed: int) -> P
 # ---------------------------------------------------------------------------
 
 
-def head_entry_names(head: str) -> tuple[str, str]:
-    return f"head.{head}.weights", f"head.{head}.bias"
-
-
-def leaf_tensors(store: ParamStore, graph: Graph, names: list[str] | None = None) -> dict[str, Tensor]:
-    """Named leaf tensors for the given entries (all entries if None)."""
-    picked = list(store) if names is None else names
-    return {name: Tensor.param(name, store[name], graph) for name in picked}
-
-
-def forward_names(spec: NetworkSpec, head: str) -> list[str]:
-    """Entries participating in a forward pass through ``head``."""
-    if head not in spec.heads:
-        raise HeadError(f"unknown head {head!r}; have {sorted(spec.heads)}")
-    names = []
-    for i in range(len(spec.trunk)):
-        names += [f"trunk.{i}.kernels", f"trunk.{i}.bias"]
-    names += list(head_entry_names(head))
-    return names
+def leaf_tensors(store: ParamStore, graph: Graph) -> dict[str, Tensor]:
+    """Named leaf tensors for every store entry, in store order, so the
+    gradient map of any loss on ``graph`` covers the whole store."""
+    return {name: Tensor.param(name, values, graph) for name, values in store.items()}
 
 
 def forward_logits(leaves: Mapping[str, Tensor], spec: NetworkSpec, patch: Array, head: str) -> Tensor:
     """Build the logits graph for one patch using pre-made leaf tensors
     (shared leaves let a whole batch accumulate into one GradientMap)."""
-    wname, bname = head_entry_names(head)
-    graph = leaves[wname].graph
-    x = Tensor.const(np.asarray(patch, dtype=np.float64), graph)
+    if head not in spec.heads:
+        raise HeadError(f"unknown head {head!r}; have {sorted(spec.heads)}")
+    weights, bias = leaves[f"head.{head}.weights"], leaves[f"head.{head}.bias"]
+    x = Tensor.const(np.asarray(patch, dtype=np.float64), weights.graph)
     for i in range(len(spec.trunk)):
         x = relu(conv2d(x, leaves[f"trunk.{i}.kernels"], leaves[f"trunk.{i}.bias"]))
-    return conv2d(x, leaves[wname], leaves[bname])
+    return conv2d(x, weights, bias)
 
 
 def forward_pass(store: ParamStore, patch: Array, head: str) -> Tensor:
@@ -191,7 +179,6 @@ def forward_pass(store: ParamStore, patch: Array, head: str) -> Tensor:
     spec = store.spec
     if spec is None:
         raise HeadError("store has no network spec")
-    names = forward_names(spec, head)
     patch = np.asarray(patch, dtype=np.float64)
     if patch.ndim != 3 or patch.shape[0] != spec.in_channels:
         raise DimensionError(
@@ -202,9 +189,7 @@ def forward_pass(store: ParamStore, patch: Array, head: str) -> Tensor:
         raise DimensionError(
             f"patch {patch.shape} smaller than receptive field {2 * margin + 1}"
         )
-    graph = Graph()
-    leaves = leaf_tensors(store, graph, names)
-    return forward_logits(leaves, spec, patch, head)
+    return forward_logits(leaf_tensors(store, Graph()), spec, patch, head)
 
 
 # ---------------------------------------------------------------------------
@@ -406,15 +391,13 @@ def sgd_update(
     learning_rate: float,
     momentum: float,
 ) -> None:
-    """Classic momentum step, applied to entries in store order; entries
-    missing from ``grads`` see a zero gradient (their velocity decays)."""
+    """Classic momentum step, applied to entries in store order; ``grads``
+    covers every entry (zero where the loss does not reach)."""
     for name, arr in store.items():
         v = velocity.get(name)
         if v is None:
             v = np.zeros_like(arr)
             velocity[name] = v
-        g = grads.get(name)
         v *= momentum
-        if g is not None:
-            v -= learning_rate * g
+        v -= learning_rate * grads[name]
         arr += v

@@ -247,24 +247,26 @@ def parse_manifest(text: str) -> tuple[SplitManifest, GeneratorConfig]:
         key, value = line.split("=", 1)
         fields[key] = value
 
-    def tup(raw: str, cast):
-        return tuple(cast(v) for v in raw.split(",") if v != "")
+    def parse(key: str, like):
+        """``fields[key]`` cast to the type of ``like``; for a tuple, a
+        comma list cast item by item."""
+        try:
+            if isinstance(like, tuple):
+                return tuple(type(like[0])(v) for v in fields[key].split(",") if v != "")
+            return type(like)(fields[key])
+        except (KeyError, ValueError) as exc:
+            raise FormatError(f"manifest key {key!r} missing or malformed ({exc})") from None
 
-    kwargs = {}
-    for key, default in vars(GeneratorConfig()).items():
-        raw = fields.get(f"generator.{key}")
-        if raw is None:
-            continue
-        if isinstance(default, tuple):
-            kwargs[key] = tup(raw, type(default[0]))
-        else:
-            kwargs[key] = type(default)(raw)
-    config = GeneratorConfig(**kwargs)
+    config = GeneratorConfig(**{
+        key: parse(f"generator.{key}", default)
+        for key, default in vars(GeneratorConfig()).items()
+        if f"generator.{key}" in fields
+    })
     manifest = SplitManifest(
-        train_a=tup(fields["train_a_seeds"], int),
-        train_b=tup(fields["train_b_seeds"], int),
-        validation=tup(fields["validation_seeds"], int),
-        master_seed=int(fields["master_seed"]),
+        train_a=parse("train_a_seeds", (0,)),
+        train_b=parse("train_b_seeds", (0,)),
+        validation=parse("validation_seeds", (0,)),
+        master_seed=parse("master_seed", 0),
     )
     if fields.get("config_hash") not in (None, config.digest()):
         raise FormatError("manifest config_hash does not match its generator fields")

@@ -209,7 +209,7 @@ def test_c02_fisher_oracle_equivalence():
         label_rng = np.random.default_rng(99)
         for patch, labels in data:
             graph = Graph()
-            leaves = leaf_tensors(store, graph, network.forward_names(spec, "taskA"))
+            leaves = leaf_tensors(store, graph)
             logits = network.forward_logits(leaves, spec, patch, "taskA")
             lp = log_softmax(reshape(logits, (2, 9)))
             if mode == "sampled":

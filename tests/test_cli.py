@@ -37,7 +37,7 @@ class TestExitCodes:
         assert code == 3
         assert "checkpoint" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("lam", ["-1", "nan", "0.1,0.1000001"])
+    @pytest.mark.parametrize("lam", ["-1", "nan", "0.1,0.1000001", "0.0123456789"])
     def test_negative_or_non_finite_lambda_exits_2_before_any_run(self, tmp_path, capsys, lam):
         code = run(["run-experiment", "--regime", "l2", f"--lambda={lam}", "--out", str(tmp_path)] + TINY)
         assert code == 2
@@ -67,6 +67,63 @@ class TestExitCodes:
         assert run([command, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and f"{curves}:3" in err
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        assert run(["train", "--config", str(missing), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(missing) in err
+
+    def test_missing_data_manifest_exits_3(self, tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        code = run(["run-experiment", "--regime", "dm-a", "--data-manifest", str(missing),
+                    "--out", str(tmp_path)] + TINY)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("prerequisite error: ") and str(missing) in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: [line for line in lines if not line.startswith("train_a_seeds=")],
+        lambda lines: [("train_a_seeds=1,x" if line.startswith("train_a_seeds=") else line)
+                       for line in lines],
+    ], ids=["missing-key", "unparsable-value"])
+    def test_malformed_data_manifest_names_the_key(self, tmp_path, capsys, edit):
+        assert run(["generate-data", "--out", str(tmp_path)] + TINY) == 0
+        manifest = tmp_path / "data" / "manifest.txt"
+        manifest.write_text("\n".join(edit(manifest.read_text().splitlines())) + "\n")
+        capsys.readouterr()
+        code = run(["run-experiment", "--regime", "dm-a", "--data-manifest", str(manifest),
+                    "--out", str(tmp_path)] + TINY)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "train_a_seeds" in err
+
+    def test_damaged_run_directory_exits_2(self, tmp_path, capsys):
+        sweep = ["run-experiment", "--regime", "dm-a", "--out", str(tmp_path)] + TINY
+        assert run(sweep) == 0
+        run_dir = next((tmp_path / "runs").iterdir())
+        record = (run_dir / "record.txt").read_text()
+        metrics = (run_dir / "metrics.csv").read_text()
+        no_duration = "".join(
+            line + "\n" for line in record.splitlines() if not line.startswith("duration_s=")
+        )
+        for name, text, where in [
+            ("record.txt", record + "stray\n", "record.txt:7"),
+            ("record.txt", no_duration, "duration_s"),
+            ("metrics.csv", None, "metrics.csv"),
+        ]:
+            if text is None:
+                (run_dir / name).unlink()
+            else:
+                (run_dir / name).write_text(text)
+            capsys.readouterr()
+            assert run(sweep) == 2, where
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and str(run_dir) in err and where in err
+            (run_dir / "record.txt").write_text(record)
+            (run_dir / "metrics.csv").write_text(metrics)
+        assert run(sweep) == 0
 
     def test_ewc_on_checkpoint_without_task_a_exits_3(self, tmp_path, capsys):
         assert run(["train", "--regime", "dm-b", "--out", str(tmp_path)] + TINY) == 0

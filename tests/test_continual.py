@@ -106,13 +106,13 @@ class TestEstimateFisher:
             fisher = estimate_fisher(store, data, "taskA", mode=mode, rng_seed=77)
             # independent loop: one forward/backward per sample via the
             # public network path, squared then averaged
-            from ewclab.network import forward_logits, forward_names
+            from ewclab.network import forward_logits
 
             sumsq = np.zeros(store.total_params)
             rng = np.random.default_rng(77)
             for patch, labels in data:
                 graph = Graph()
-                leaves = leaf_tensors(store, graph, forward_names(store.spec, "taskA"))
+                leaves = leaf_tensors(store, graph)
                 logits = forward_logits(leaves, store.spec, patch, "taskA")
                 k = logits.values.shape[0]
                 n = logits.values.size // k

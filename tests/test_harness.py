@@ -124,6 +124,12 @@ class TestConfig:
         # there, or a repeated seed, would share one run
         with pytest.raises(ConfigError, match="lambda"):
             parse_config(overrides={"lambda": "0.1,0.1000001"})
+        with pytest.raises(ConfigError, match="lambda"):
+            parse_config(overrides={"lambda": "0.1,0.1"})
+        # a lambda must equal its %g text, or runs trained at two values
+        # would share one id and one report row
+        with pytest.raises(ConfigError, match="lambda"):
+            parse_config(overrides={"lambda": "0.0123456789"})
         with pytest.raises(ConfigError, match="seeds"):
             parse_config(overrides={"seeds": "1,1"})
 
@@ -389,6 +395,21 @@ class TestExperiment:
         with pytest.raises(ConfigError, match=r"metrics\.csv:4"):
             load_run_record(copy)
 
+    @pytest.mark.parametrize("damage,match", [
+        (lambda d: (d / "record.txt").write_text("run_id\n"), r"record\.txt:1"),
+        (lambda d: (d / "record.txt").write_text(
+            "".join(line + "\n" for line in (d / "record.txt").read_text().splitlines()
+                    if not line.startswith("duration_s="))), "duration_s"),
+        (lambda d: (d / "metrics.csv").unlink(), r"metrics\.csv"),
+    ], ids=["line-without-equals", "no-duration", "no-metrics-csv"])
+    def test_damaged_run_directory_is_a_config_error(self, experiment, tmp_path, damage, match):
+        out, config, records = experiment
+        copy = tmp_path / "copy"
+        shutil.copytree(out / "runs" / records[0].run_id, copy)
+        damage(copy)
+        with pytest.raises(ConfigError, match=match):
+            load_run_record(copy)
+
     def test_epoch0_task_a_curve_matches_dm_a_final_eval(self, experiment):
         out, config, records = experiment
         by_regime = {r.regime: r for r in records}
@@ -475,6 +496,24 @@ class TestRunStore:
         edited = run_experiment(tiny_config(tmp_path, data_manifest=data / "manifest.txt"))
         assert trained == [("dm-a", 0.0)]
         assert edited[0].run_id != first[0].run_id
+
+    def test_interrupted_run_is_repaired(self, tmp_path, trained):
+        records = run_experiment(tiny_config(tmp_path, regime="finetune"))
+        out = tmp_path / "exp"
+        run_dir = out / "runs" / next(r.run_id for r in records if r.regime == "finetune")
+        kept = ("final.ckpt", "metrics.csv", "losses.csv")
+        before = {name: (run_dir / name).read_bytes() for name in kept}
+        curves = (out / "curves.csv").read_bytes()
+        # a crash mid-run: a torn checkpoint, a stray temporary file, no 'done'
+        (run_dir / "final.ckpt").write_bytes(before["final.ckpt"][:100])
+        (run_dir / "metrics.csv.tmp").write_text("run_id,regime\n")
+        (run_dir / "done").unlink()
+        trained.clear()
+        run_experiment(tiny_config(tmp_path, regime="finetune"))
+        assert trained == [("finetune", 0.0)]
+        assert {name: (run_dir / name).read_bytes() for name in kept} == before
+        assert (out / "curves.csv").read_bytes() == curves
+        assert list(out.rglob("*.tmp")) == []
 
     def test_failed_artifact_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
         config = tiny_config(tmp_path)
