@@ -6,7 +6,7 @@ per-sample log-likelihood (mean over pixels), taken either with the
 dataset's labels (``empirical``) or with labels drawn per pixel from the
 model's own predictive distribution (``sampled``).  The penalty anchors
 parameters to a converged snapshot, weighted by those importances;
-an all-ones importance vector turns it into the plain L2 anchor.
+unit importances turn it into the plain L2 anchor.
 """
 
 from __future__ import annotations
@@ -19,66 +19,11 @@ import numpy as np
 
 from . import network
 from .errors import AlignmentError, ContractError, DataError, PrerequisiteError
-from .network import NetworkSpec, ParamStore, attach_head, init_network
+from .network import FisherDiagonal, FisherProvenance, NetworkSpec, ParamStore, attach_head, init_network
 from .synthtasks import TASK_A, TASKS
 from .tensor import Graph, Tensor, backward, log_softmax, nll_loss, reshape
 
 Array = np.ndarray
-
-# entry table rows: (name, shape, flat offset), as ParamStore.entry_table()
-EntryTable = tuple[tuple[str, tuple[int, ...], int], ...]
-
-
-@dataclass(frozen=True)
-class FisherProvenance:
-    dataset_id: str
-    head: str
-    mode: str
-    samples: int
-
-
-class FisherDiagonal:
-    """Per-parameter non-negative importances, flat-aligned to the store
-    they were estimated on.  Parameters added later (new heads) have no
-    entry, so their importance is zero."""
-
-    def __init__(self, values: Array, entry_table: EntryTable, provenance: FisherProvenance):
-        self.values = np.asarray(values, dtype=np.float64)
-        self.entry_table = tuple(entry_table)
-        self.provenance = provenance
-        total = sum(int(np.prod(shape, dtype=np.int64)) for _, shape, _ in self.entry_table)
-        if self.values.shape != (total,):
-            raise AlignmentError(
-                f"fisher length {self.values.shape} does not cover its entry table ({total})"
-            )
-        if np.any(self.values < 0) or not np.all(np.isfinite(self.values)):
-            raise AlignmentError("fisher values must be finite and non-negative")
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    def to_entries(self) -> Iterator[tuple[str, Array]]:
-        for name, shape, offset in self.entry_table:
-            size = int(np.prod(shape, dtype=np.int64))
-            yield name, self.values[offset : offset + size].reshape(shape)
-
-    @classmethod
-    def from_entries(cls, entries: Sequence[tuple[str, Array]], provenance: FisherProvenance) -> "FisherDiagonal":
-        table = []
-        offset = 0
-        chunks = []
-        for name, values in entries:
-            table.append((name, values.shape, offset))
-            offset += values.size
-            chunks.append(np.asarray(values, dtype=np.float64).reshape(-1))
-        flat = np.concatenate(chunks) if chunks else np.zeros(0)
-        return cls(flat, tuple(table), provenance)
-
-    @classmethod
-    def ones_like(cls, store: ParamStore) -> "FisherDiagonal":
-        """Unit importances: the plain L2 anchor."""
-        prov = FisherProvenance(dataset_id="", head="", mode="unit", samples=0)
-        return cls(np.ones(store.total_params), tuple(store.entry_table()), prov)
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +45,12 @@ def score_samples(
     head: str,
     mode: str = "empirical",
     rng_seed: int = 0,
-) -> Iterator[Array]:
-    """Per-sample score vectors: the gradient of each sample's mean
-    per-pixel log-likelihood, flattened over all store entries in flat
-    index order.  ``data`` yields (patch, label map) pairs; in ``sampled``
-    mode the given labels are ignored and fresh ones are drawn per pixel.
+) -> Iterator[dict[str, Array]]:
+    """Per-sample scores: the gradient of each sample's mean per-pixel
+    log-likelihood, as one ``{name: array}`` map over every store entry
+    in store order.  ``data`` yields (patch, label map) pairs; in
+    ``sampled`` mode the given labels are ignored and fresh ones are
+    drawn per pixel.
     """
     if len(data) == 0:
         raise DataError("cannot estimate Fisher information from an empty dataset")
@@ -124,8 +70,7 @@ def score_samples(
         else:
             y = np.asarray(labels).reshape(-1)
         loss = nll_loss(log_probs, y)  # mean negative log-likelihood
-        # the gradient map lists every store entry in store order
-        yield -np.concatenate([g.reshape(-1) for g in backward(loss).values()])
+        yield {name: -g for name, g in backward(loss).items()}
 
 
 def estimate_fisher(
@@ -139,14 +84,14 @@ def estimate_fisher(
     """Average squared per-sample score, accumulated in ascending sample
     order: F_i = (1/M) * sum_m g_{m,i}^2.  Deterministic given inputs and
     seed."""
-    sumsq = np.zeros(params.total_params)
+    sumsq = {name: np.zeros_like(values) for name, values in params.items()}
     count = 0
     for score in score_samples(params, data, head, mode, rng_seed):
-        sumsq += score * score
+        for name, s in score.items():
+            sumsq[name] += s * s
         count += 1
     return FisherDiagonal(
-        sumsq / count,
-        tuple(params.entry_table()),
+        ParamStore({name: total / count for name, total in sumsq.items()}),
         FisherProvenance(dataset_id=dataset_id, head=head, mode=mode, samples=count),
     )
 
@@ -168,26 +113,26 @@ def ewc_penalty(
 
     The gradient w.r.t. theta is exactly 2 * lam * F * (theta - anchor).
     """
-    table = tuple(anchor.entry_table())
-    if fisher.entry_table != table:
-        for (fn, fs, fo), (an, a_s, ao) in zip(fisher.entry_table, table):
-            if (fn, fs, fo) != (an, a_s, ao):
-                raise AlignmentError(f"fisher/anchor entry mismatch at {an!r}")
-        raise AlignmentError("fisher and anchor entry tables differ in length")
+    importance = fisher.importance
+    if len(importance) != len(anchor):
+        raise AlignmentError(
+            f"fisher and anchor entries differ in length ({len(importance)} != {len(anchor)})"
+        )
     lam = float(lam)
 
     anchored: list[tuple[Tensor, Array, Array]] = []
     total = 0.0
-    for name, shape, offset in table:
+    for name, a in anchor.items():
+        f = importance.get(name)
+        if f is None or f.shape != a.shape:
+            raise AlignmentError(f"fisher/anchor entry mismatch at {name!r}")
         leaf = leaves.get(name)
         if leaf is None:
             raise AlignmentError(f"anchored entry {name!r} missing from parameters")
-        if leaf.shape != shape:
+        if leaf.shape != a.shape:
             raise AlignmentError(
-                f"anchored entry {name!r} shape {leaf.shape} != anchor shape {shape}"
+                f"anchored entry {name!r} shape {leaf.shape} != anchor shape {a.shape}"
             )
-        a = anchor[name]
-        f = fisher.values[offset : offset + a.size].reshape(shape)
         diff = leaf.values - a
         total += lam * float((f * diff * diff).sum())
         anchored.append((leaf, a, f))
@@ -251,14 +196,17 @@ def derive_seed(*parts) -> int:
 
 
 def load_task_a_checkpoint(path: str | None, needed_by: str) -> network.Checkpoint:
-    """The checkpoint at ``path``, which must carry a task-A head.  No
-    path, no file or no task-A head raise :class:`PrerequisiteError`."""
+    """The checkpoint at ``path``, whose only head must be task A's.  No
+    path, no file or any other set of heads raise
+    :class:`PrerequisiteError`."""
     if not path:
         raise PrerequisiteError(f"{needed_by} needs a task-A checkpoint; none given")
     ckpt = network.load_checkpoint(path)
-    if TASK_A.head not in ckpt.params.spec.heads:
+    heads = list(ckpt.params.spec.heads)
+    if heads != [TASK_A.head]:
         raise PrerequisiteError(
-            f"checkpoint {str(path)!r} has no {TASK_A.head!r} head; not a task-A checkpoint"
+            f"checkpoint {str(path)!r} has heads {heads}; a task-A checkpoint has "
+            f"the {TASK_A.head!r} head only"
         )
     return ckpt
 

@@ -28,7 +28,8 @@ class HeadError(EwcLabError):
 
 
 class AlignmentError(EwcLabError):
-    """Flat-index misalignment between parameters, anchor and Fisher values."""
+    """Parameters, anchor and Fisher importances disagree on entry names or
+    shapes, or an importance is negative or non-finite."""
 
 
 class DataError(EwcLabError):

@@ -20,7 +20,6 @@ from . import metrics, network, svgplot, tensor
 from .atomic import write_text
 from .continual import (
     REGIMES,
-    FisherDiagonal,
     RegimePlan,
     build_regime,
     canonical_regime,
@@ -29,7 +28,7 @@ from .continual import (
     ewc_penalty,
 )
 from .errors import ConfigError, ContractError, DivergenceError, EwcLabError, PrerequisiteError
-from .network import ParamStore, leaf_tensors, output_margin, sgd_update
+from .network import FisherDiagonal, ParamStore, leaf_tensors, output_margin, sgd_update
 from .synthtasks import (
     TASKS,
     GeneratorConfig,

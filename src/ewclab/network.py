@@ -3,9 +3,9 @@ parameter store and bit-exact checkpoint persistence.
 
 The trunk is a stack of valid 3x3 convolutions with ReLU; each head is a
 1x1 convolution over the last trunk feature map, so every head reads the
-same shared representation.  Parameters live in a :class:`ParamStore`
-whose insertion order defines a stable flat index space [0, K): the
-Fisher diagonal and the per-sample score vectors align to it.  Every
+same shared representation.  Parameters live in a :class:`ParamStore`, a
+name -> array map in insertion order; the task-A anchor and the Fisher
+importances are stores too, matched to the parameters by name.  Every
 computation graph holds a leaf per store entry, so a gradient map always
 covers the whole store.
 """
@@ -19,7 +19,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .atomic import atomic_open
-from .errors import DimensionError, FormatError, HeadError, PrerequisiteError
+from .errors import AlignmentError, DimensionError, FormatError, HeadError, PrerequisiteError
 from .tensor import Graph, GradientMap, Tensor, conv2d, relu
 
 Array = np.ndarray
@@ -65,8 +65,8 @@ def output_margin(spec: NetworkSpec) -> int:
 class ParamStore(Mapping[str, Array]):
     """Ordered, named collection of parameter arrays.
 
-    Mapping name -> float64 array.  Entry order assigns each parameter a
-    contiguous flat index range; ranges are disjoint and cover [0, K).
+    Mapping name -> float64 array, iterated in insertion order; adding a
+    name twice raises :class:`HeadError`.
     """
 
     def __init__(self, entries: Mapping[str, Array] | None = None, spec: NetworkSpec | None = None):
@@ -90,24 +90,46 @@ class ParamStore(Mapping[str, Array]):
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def total_params(self) -> int:
-        return sum(a.size for a in self._entries.values())
-
-    def entry_table(self) -> list[tuple[str, tuple[int, ...], int]]:
-        """(name, shape, flat offset) per entry, in store order."""
-        table = []
-        offset = 0
-        for name, arr in self._entries.items():
-            table.append((name, arr.shape, offset))
-            offset += arr.size
-        return table
-
     def flat(self) -> Array:
-        """Concatenated copy of all entries in flat-index order."""
+        """Concatenated copy of all entries in store order."""
         if not self._entries:
             return np.zeros(0)
         return np.concatenate([a.reshape(-1) for a in self._entries.values()])
+
+
+@dataclass(frozen=True)
+class FisherProvenance:
+    dataset_id: str
+    head: str
+    mode: str
+    samples: int
+
+
+@dataclass(frozen=True, eq=False)
+class FisherDiagonal:
+    """Per-parameter non-negative importances, a store with the entry
+    names and shapes of the parameters they were estimated on.
+    Parameters added later (new heads) have no entry, so their importance
+    is zero."""
+
+    importance: ParamStore
+    provenance: FisherProvenance
+
+    def __post_init__(self) -> None:
+        for name, values in self.importance.items():
+            if np.any(values < 0) or not np.all(np.isfinite(values)):
+                raise AlignmentError(f"fisher values must be finite and non-negative; {name!r} is not")
+
+    @property
+    def values(self) -> Array:
+        """Every importance in one flat array, in store order."""
+        return self.importance.flat()
+
+    @classmethod
+    def ones_like(cls, store: ParamStore) -> "FisherDiagonal":
+        """Unit importances: the plain L2 anchor."""
+        ones = ParamStore({name: np.ones(values.shape) for name, values in store.items()})
+        return cls(ones, FisherProvenance(dataset_id="", head="", mode="unit", samples=0))
 
 
 def _he_kernels(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Array:
@@ -133,7 +155,7 @@ def init_network(spec: NetworkSpec, seed: int) -> ParamStore:
 
 def attach_head(store: ParamStore, head_name: str, classes: int, seed: int) -> ParamStore:
     """New store with trunk and existing heads copied bit-for-bit and a
-    freshly initialized head appended (fresh flat indices at the end)."""
+    freshly initialized head appended after them."""
     if store.spec is None:
         raise HeadError("store has no network spec; cannot attach a head")
     if head_name in store.spec.heads:
@@ -211,7 +233,7 @@ class Checkpoint:
 
     params: ParamStore
     metadata: dict[str, str]
-    fisher: "object | None" = None  # continual.FisherDiagonal when present
+    fisher: FisherDiagonal | None = None
 
 
 def _dump_header(spec: NetworkSpec, n_entries: int, metadata: dict[str, str], fisher) -> bytes:
@@ -224,7 +246,7 @@ def _dump_header(spec: NetworkSpec, n_entries: int, metadata: dict[str, str], fi
     if fisher is not None:
         prov = fisher.provenance
         lines += [
-            f"fisher_entries={len(fisher.entry_table)}",
+            f"fisher_entries={len(fisher.importance)}",
             f"fisher_mode={prov.mode}",
             f"fisher_head={prov.head}",
             f"fisher_dataset={prov.dataset_id}",
@@ -249,7 +271,9 @@ def _write_entry(fh, name: str, values: Array) -> None:
     fh.write(values.astype("<f8", copy=False).tobytes())
 
 
-def save_checkpoint(store: ParamStore, path, metadata: dict[str, str] | None = None, fisher=None) -> None:
+def save_checkpoint(
+    store: ParamStore, path, metadata: dict[str, str] | None = None, fisher: FisherDiagonal | None = None
+) -> None:
     """Write a bit-exact checkpoint; optionally embeds a Fisher payload.
 
     The bytes go to a temporary file beside ``path`` that then replaces
@@ -268,8 +292,8 @@ def save_checkpoint(store: ParamStore, path, metadata: dict[str, str] | None = N
             _write_entry(fh, name, arr)
         if fisher is not None:
             fh.write(FISHER_SENTINEL)
-            fh.write(struct.pack("<I", len(fisher.entry_table)))
-            for name, values in fisher.to_entries():
+            fh.write(struct.pack("<I", len(fisher.importance)))
+            for name, values in fisher.importance.items():
                 _write_entry(fh, name, values)
 
 
@@ -314,10 +338,31 @@ def _parse_header(text: str) -> dict[str, str]:
     return fields
 
 
+def _parse_heads(text: str) -> dict[str, int]:
+    heads = {}
+    for part in filter(None, text.split(",")):
+        name, classes = part.split(":")
+        heads[name] = int(classes)
+    return heads
+
+
+def _header_value(header: dict[str, str], key: str, parse, default: str | None = None):
+    """``parse`` of the header's ``key`` (or of ``default`` when absent);
+    a value it cannot parse raises :class:`FormatError` naming the key."""
+    text = header.get(key, default)
+    if text is None:
+        raise FormatError(f"header missing {key!r}")
+    try:
+        return parse(text)
+    except ValueError:
+        raise FormatError(f"unparsable header value {key}={text!r}") from None
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; a missing file raises :class:`PrerequisiteError`,
-    and bad magic, version or truncation raise :class:`FormatError` with
-    the failing byte offset."""
+    and bad magic, version, header values or truncation raise
+    :class:`FormatError` (with the failing byte offset where there is
+    one)."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -332,47 +377,36 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"unsupported version {version}", offset=4)
     header_len = r.u32("header length")
     header = _parse_header(r.take(header_len, "header").decode("utf-8"))
-    for key in ("in_channels", "trunk", "heads", "entries"):
-        if key not in header:
-            raise FormatError(f"header missing {key!r}")
     spec = NetworkSpec(
-        in_channels=int(header["in_channels"]),
-        trunk=tuple(int(w) for w in header["trunk"].split(",") if w),
-        heads={
-            part.split(":")[0]: int(part.split(":")[1])
-            for part in header["heads"].split(",")
-            if part
-        },
+        in_channels=_header_value(header, "in_channels", int),
+        trunk=_header_value(header, "trunk", lambda text: tuple(int(w) for w in text.split(",") if w)),
+        heads=_header_value(header, "heads", _parse_heads),
     )
     store = ParamStore(spec=spec)
-    for _ in range(int(header["entries"])):
-        name, values = _read_entry(r)
-        store.add(name, values)
+    for _ in range(_header_value(header, "entries", int)):
+        store.add(*_read_entry(r))
 
     fisher = None
     if "fisher_entries" in header:
+        expected = _header_value(header, "fisher_entries", int)
+        provenance = FisherProvenance(
+            dataset_id=header.get("fisher_dataset", ""),
+            head=header.get("fisher_head", ""),
+            mode=header.get("fisher_mode", ""),
+            samples=_header_value(header, "fisher_samples", int, default="0"),
+        )
         sentinel = r.take(len(FISHER_SENTINEL), "fisher sentinel")
         if sentinel != FISHER_SENTINEL:
             raise FormatError(
                 f"bad fisher sentinel {sentinel!r}", offset=r.pos - len(FISHER_SENTINEL)
             )
         count = r.u32("fisher entry count")
-        if count != int(header["fisher_entries"]):
-            raise FormatError(
-                f"fisher entry count {count} != header {header['fisher_entries']}"
-            )
-        entries = [_read_entry(r) for _ in range(count)]
-        from .continual import FisherDiagonal, FisherProvenance  # avoids an import cycle
-
-        fisher = FisherDiagonal.from_entries(
-            entries,
-            FisherProvenance(
-                dataset_id=header.get("fisher_dataset", ""),
-                head=header.get("fisher_head", ""),
-                mode=header.get("fisher_mode", ""),
-                samples=int(header.get("fisher_samples", 0)),
-            ),
-        )
+        if count != expected:
+            raise FormatError(f"fisher entry count {count} != header {expected}")
+        importance = ParamStore()
+        for _ in range(count):
+            importance.add(*_read_entry(r))
+        fisher = FisherDiagonal(importance, provenance)
     if r.pos != len(data):
         raise FormatError(f"{len(data) - r.pos} trailing bytes", offset=r.pos)
     metadata = {k: v for k, v in header.items() if k not in RESERVED_HEADER_KEYS}

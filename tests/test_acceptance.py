@@ -19,20 +19,21 @@ import numpy as np
 import pytest
 
 from ewclab import metrics, network
-from ewclab.continual import (
-    FisherDiagonal,
-    FisherProvenance,
-    build_regime,
-    estimate_fisher,
-    score_samples,
-)
+from ewclab.continual import build_regime, estimate_fisher, score_samples
 from ewclab.harness import (
     load_data,
     parse_config,
     run_experiment,
     train,
 )
-from ewclab.network import NetworkSpec, init_network, leaf_tensors
+from ewclab.network import (
+    FisherDiagonal,
+    FisherProvenance,
+    NetworkSpec,
+    ParamStore,
+    init_network,
+    leaf_tensors,
+)
 from ewclab.synthtasks import SampleBank
 from ewclab.tensor import (
     Graph,
@@ -195,7 +196,8 @@ def test_c02_fisher_oracle_equivalence():
     t0 = time.monotonic()
     spec = NetworkSpec(in_channels=1, trunk=(4, 4), heads={"taskA": 2})
     store = init_network(spec, seed=17)
-    assert store.total_params <= 500
+    n_params = store.flat().size
+    assert n_params <= 500
     rng = np.random.default_rng(5)
     data = [
         (rng.normal(size=(1, 7, 7)), rng.integers(0, 2, size=9))
@@ -205,7 +207,7 @@ def test_c02_fisher_oracle_equivalence():
     for mode in ("empirical", "sampled"):
         fisher = estimate_fisher(store, data, "taskA", mode=mode, rng_seed=99)
         # independent brute-force loop: one graph per sample, square, average
-        sumsq = np.zeros(store.total_params)
+        sumsq = np.zeros(n_params)
         label_rng = np.random.default_rng(99)
         for patch, labels in data:
             graph = Graph()
@@ -218,9 +220,7 @@ def test_c02_fisher_oracle_equivalence():
                 cum /= cum[-1:]
                 labels = (label_rng.random(9)[None, :] < cum).argmax(axis=0)
             grads = backward(nll_loss(lp, np.asarray(labels).reshape(-1)))
-            flat = np.concatenate([
-                -grads[name].reshape(-1) for name, _, _ in store.entry_table()
-            ])
+            flat = np.concatenate([-grads[name].reshape(-1) for name in store])
             sumsq += flat * flat
         brute = sumsq / len(data)
         scale = np.maximum(np.maximum(np.abs(brute), np.abs(fisher.values)), 1e-300)
@@ -228,7 +228,7 @@ def test_c02_fisher_oracle_equivalence():
     elapsed = time.monotonic() - t0
     report(
         2, "fisher oracle equivalence", worst < 1e-12 and elapsed < 10.0,
-        f"{store.total_params} params, 32 samples, both modes, max rel err {worst:.2e}, {elapsed:.1f}s",
+        f"{n_params} params, 32 samples, both modes, max rel err {worst:.2e}, {elapsed:.1f}s",
     )
 
 
@@ -244,7 +244,10 @@ def test_c03_zero_mean_score():
     rng = np.random.default_rng(21)
     base = [(rng.normal(size=(1, 6, 6)), np.zeros(16, dtype=np.int64)) for _ in range(4)]
     data = [base[i % len(base)] for i in range(2048)]
-    scores = np.stack(list(score_samples(store, data, "taskA", mode="sampled", rng_seed=3)))
+    scores = np.stack([
+        np.concatenate([s.reshape(-1) for s in score.values()])
+        for score in score_samples(store, data, "taskA", mode="sampled", rng_seed=3)
+    ])
     m = scores.shape[0]
     sample_mean = scores.mean(axis=0)
     sem = scores.std(axis=0, ddof=1) / math.sqrt(m)
@@ -253,7 +256,7 @@ def test_c03_zero_mean_score():
     report(
         3, "zero-mean score (sampled labels)",
         bool(np.all(np.abs(sample_mean) <= 3.0 * sem + 1e-15)) and elapsed < 30.0,
-        f"{m} draws, {store.total_params} components, worst |mean|/3SE {ratio.max():.2f}, {elapsed:.1f}s",
+        f"{m} draws, {scores.shape[1]} components, worst |mean|/3SE {ratio.max():.2f}, {elapsed:.1f}s",
     )
 
 
@@ -299,8 +302,7 @@ def test_c04_regime_identities(experiment, tmp_path):
     # (b) l2 vs ewc with the Fisher payload replaced by ones, matched lambda
     ckpt = network.load_checkpoint(dm_a.checkpoint_final)
     ones = FisherDiagonal(
-        np.ones(ckpt.params.total_params),
-        tuple(ckpt.params.entry_table()),
+        ParamStore({name: np.ones(values.shape) for name, values in ckpt.params.items()}),
         FisherProvenance("train_a", "taskA", "empirical", 1),
     )
     ones_path = tmp_path / "ones.ckpt"

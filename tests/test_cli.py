@@ -126,13 +126,18 @@ class TestExitCodes:
         assert run(sweep) == 0
 
     def test_ewc_on_checkpoint_without_task_a_exits_3(self, tmp_path, capsys):
-        assert run(["train", "--regime", "dm-b", "--out", str(tmp_path)] + TINY) == 0
-        ckpt = next((tmp_path / "runs").iterdir()) / "final.ckpt"
-        capsys.readouterr()
-        for command in (["train", "--regime", "ewc", "--lambda", "1"], ["fisher"]):
-            code = run(command + ["--checkpoint", str(ckpt), "--out", str(tmp_path / "e")] + TINY)
-            assert code == 3, command
-            assert capsys.readouterr().err.startswith("prerequisite error: "), command
+        # a dm-b checkpoint lacks the task-A head; a multitask one has a
+        # task-B head besides it
+        for regime in ("dm-b", "multitask"):
+            out = tmp_path / regime
+            assert run(["train", "--regime", regime, "--out", str(out)] + TINY) == 0
+            ckpt = next((out / "runs").iterdir()) / "final.ckpt"
+            capsys.readouterr()
+            for command in (["train", "--regime", "ewc", "--lambda", "1"], ["fisher"]):
+                code = run(command + ["--checkpoint", str(ckpt), "--out", str(tmp_path / "e")] + TINY)
+                assert code == 3, (regime, command)
+                err = capsys.readouterr().err
+                assert err.startswith("prerequisite error: ") and "taskB" in err, (regime, command)
 
     @pytest.mark.parametrize("command", [
         ["fisher"], ["evaluate"], ["train", "--regime", "finetune"],

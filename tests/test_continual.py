@@ -8,8 +8,6 @@ import numpy as np
 import pytest
 
 from ewclab.continual import (
-    FisherDiagonal,
-    FisherProvenance,
     build_regime,
     canonical_regime,
     estimate_fisher,
@@ -24,6 +22,8 @@ from ewclab.errors import (
     PrerequisiteError,
 )
 from ewclab.network import (
+    FisherDiagonal,
+    FisherProvenance,
     NetworkSpec,
     ParamStore,
     attach_head,
@@ -81,10 +81,9 @@ class TestEstimateFisher:
         data = [(np.ones((1, 5, 5)), np.zeros(9, dtype=int))]
         (score,) = score_samples(store, data, "taskA")
         fisher = estimate_fisher(store, data, "taskA")
-        for name, shape, offset in store.entry_table():
-            size = int(np.prod(shape))
-            entry_score = score[offset : offset + size]
-            entry_fisher = fisher.values[offset : offset + size]
+        for name in store:
+            entry_score = score[name].reshape(-1)
+            entry_fisher = fisher.importance[name].reshape(-1)
             if name == "head.taskA.bias":
                 assert entry_score.tolist() == [0.5, -0.5]
                 assert entry_fisher.tolist() == [0.25, 0.25]
@@ -94,7 +93,7 @@ class TestEstimateFisher:
     def test_disconnected_parameter_has_zero_fisher(self):
         # a second head takes no part in the first head's likelihood
         store = tiny_net(seed=4, heads={"taskA": 2, "taskB": 2})
-        fisher = dict(estimate_fisher(store, tiny_data(3, seed=1), "taskA").to_entries())
+        fisher = estimate_fisher(store, tiny_data(3, seed=1), "taskA").importance
         assert fisher["head.taskA.weights"].any()
         for name in ("head.taskB.weights", "head.taskB.bias"):
             assert np.all(fisher[name] == 0.0)
@@ -108,7 +107,7 @@ class TestEstimateFisher:
             # public network path, squared then averaged
             from ewclab.network import forward_logits
 
-            sumsq = np.zeros(store.total_params)
+            sumsq = np.zeros(store.flat().size)
             rng = np.random.default_rng(77)
             for patch, labels in data:
                 graph = Graph()
@@ -124,10 +123,7 @@ class TestEstimateFisher:
                     u = rng.random(n)
                     labels = (u[None, :] < cum).argmax(axis=0)
                 grads = backward(nll_loss(lp, np.asarray(labels).reshape(-1)))
-                flat = np.concatenate(
-                    [(-grads[name]).reshape(-1) if name in grads else np.zeros(int(np.prod(shape)))
-                     for name, shape, _ in store.entry_table()]
-                )
+                flat = np.concatenate([(-grads[name]).reshape(-1) for name in store])
                 sumsq += flat * flat
             brute = sumsq / len(data)
             scale = np.maximum(np.maximum(np.abs(brute), np.abs(fisher.values)), 1e-300)
@@ -160,7 +156,10 @@ class TestEstimateFisher:
         store = tiny_net(seed=13)
         base = tiny_data(4, seed=21)
         data = [base[i % len(base)] for i in range(2000)]
-        scores = np.stack(list(score_samples(store, data, "taskA", mode="sampled", rng_seed=3)))
+        scores = np.stack([
+            np.concatenate([s.reshape(-1) for s in score.values()])
+            for score in score_samples(store, data, "taskA", mode="sampled", rng_seed=3)
+        ])
         m = scores.shape[0]
         mean = scores.mean(axis=0)
         sem = scores.std(axis=0, ddof=1) / math.sqrt(m)
@@ -187,7 +186,7 @@ class TestPenalty:
     def test_direct_evaluation(self):
         store = ParamStore({"w": np.array([1.0, 1.0])})
         anchor = ParamStore({"w": np.zeros(2)})
-        fisher = FisherDiagonal(np.array([1.0, 2.0]), tuple(store.entry_table()),
+        fisher = FisherDiagonal(ParamStore({"w": np.array([1.0, 2.0])}),
                                 FisherProvenance("", "", "", 0))
         pen = ewc_penalty(leaves_of(store), anchor, fisher, lam=0.5)
         assert pen.values == pytest.approx(1.5, rel=1e-15)
@@ -204,7 +203,7 @@ class TestPenalty:
         graph = Graph()
         leaves = leaf_tensors(moved, graph)
         grads = backward(ewc_penalty(leaves, anchor, fisher, lam))
-        importance = dict(fisher.to_entries())
+        importance = fisher.importance
         for name in anchor:
             expect = 2.0 * lam * importance[name] * (moved[name] - anchor[name])
             assert np.max(np.abs(grads[name] - expect)) < 1e-12
@@ -266,7 +265,10 @@ class TestTotalLoss:
         path = str(task_a_checkpoint(tmp_path))
         l2 = build_regime("l2", lam=0.8, seed=1, checkpoint_path=path)
         ewc = build_regime("ewc", lam=0.8, seed=1, checkpoint_path=path)
-        unit = FisherDiagonal(np.ones(len(ewc.fisher)), ewc.fisher.entry_table, ewc.fisher.provenance)
+        unit = FisherDiagonal(
+            ParamStore({name: np.ones(f.shape) for name, f in ewc.fisher.importance.items()}),
+            ewc.fisher.provenance,
+        )
         moved = attach_head(l2.anchor, "taskB", 2, seed=1)
         rng = np.random.default_rng(1)
         for name in moved:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ewclab import harness, network, svgplot, synthtasks, tensor
-from ewclab.continual import REGIMES, FisherDiagonal, FisherProvenance, build_regime
+from ewclab.continual import REGIMES, build_regime
 from ewclab.errors import ConfigError, ContractError, DivergenceError
 from ewclab.harness import (
     CSV_HEADER,
@@ -32,6 +32,7 @@ from ewclab.harness import (
     run_id,
     train,
 )
+from ewclab.network import FisherDiagonal, FisherProvenance, ParamStore
 from ewclab.synthtasks import TASKS, SampleBank, write_dataset
 
 TINY = {
@@ -453,8 +454,7 @@ class TestRegimeIdentities:
         # rewrite the checkpoint's fisher payload with all-ones values
         ckpt = network.load_checkpoint(dm_a.checkpoint_final)
         ones = FisherDiagonal(
-            np.ones(ckpt.params.total_params),
-            tuple(ckpt.params.entry_table()),
+            ParamStore({name: np.ones(values.shape) for name, values in ckpt.params.items()}),
             FisherProvenance("train_a", "taskA", "empirical", 1),
         )
         ones_path = tmp_path / "ones.ckpt"

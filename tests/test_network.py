@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
 from ewclab.errors import DimensionError, FormatError, HeadError
 from ewclab.network import (
+    FisherDiagonal,
+    FisherProvenance,
     NetworkSpec,
     ParamStore,
     attach_head,
@@ -57,13 +62,8 @@ class TestInit:
             "trunk.1.kernels", "trunk.1.bias",
             "head.taskA.weights", "head.taskA.bias",
         ]
-        table = store.entry_table()
-        offset = 0
-        for name, shape, off in table:
-            assert off == offset
-            offset += int(np.prod(shape))
-        assert offset == store.total_params
-        assert store.flat().size == store.total_params
+        expect = np.concatenate([store[name].reshape(-1) for name in names])
+        assert store.flat().tobytes() == expect.tobytes()
 
 
 class TestForward:
@@ -116,9 +116,9 @@ class TestAttachHead:
         grown = attach_head(store, "taskB", 2, seed=99)
         assert "head.taskB.weights" in grown and "head.taskB.bias" in grown
         width = store.spec.trunk[-1]
-        assert grown.total_params == store.total_params + 2 * width + 2
-        # appended entries keep earlier offsets stable
-        assert grown.entry_table()[: len(store)] == store.entry_table()
+        assert grown.flat().size == store.flat().size + 2 * width + 2
+        # appended entries keep the earlier entries' order
+        assert list(grown)[: len(store)] == list(store)
 
     def test_duplicate_head_rejected(self):
         store = init_network(small_spec(), seed=4)
@@ -182,13 +182,10 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_fisher_payload_round_trip(self, tmp_path):
-        from ewclab.continual import FisherDiagonal, FisherProvenance
-
         store = init_network(small_spec(), seed=7)
         rng = np.random.default_rng(3)
         fisher = FisherDiagonal(
-            rng.uniform(0.0, 2.0, size=store.total_params),
-            tuple(store.entry_table()),
+            ParamStore({name: rng.uniform(0.0, 2.0, size=values.shape) for name, values in store.items()}),
             FisherProvenance("train_a", "taskA", "empirical", 32),
         )
         path = tmp_path / "net.ckpt"
@@ -196,15 +193,15 @@ class TestCheckpoint:
         ckpt = load_checkpoint(path)
         assert ckpt.fisher is not None
         assert ckpt.fisher.values.tobytes() == fisher.values.tobytes()
-        assert ckpt.fisher.entry_table == fisher.entry_table
+        assert list(ckpt.fisher.importance) == list(fisher.importance)
+        for name, values in fisher.importance.items():
+            assert ckpt.fisher.importance[name].shape == values.shape
         assert ckpt.fisher.provenance.mode == "empirical"
         assert ckpt.fisher.provenance.samples == 32
         assert ckpt.metadata == {"regime": "dm-a"}
 
     def test_failed_save_keeps_the_file_it_would_replace(self, tmp_path):
         from types import SimpleNamespace
-
-        from ewclab.continual import FisherProvenance
 
         store = init_network(small_spec(), seed=7)
         path = tmp_path / "net.ckpt"
@@ -213,14 +210,15 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="reserved"):
             save_checkpoint(store, path, metadata={"trunk": "x"})
 
-        # a failure after writing started leaves the old file too
-        def broken_entries():
-            raise OSError("disk gone")
+        # a failure after writing started (the header counts the
+        # importances, then reading them fails) leaves the old file too
+        class BrokenImportance(dict):
+            def items(self):
+                raise OSError("disk gone")
 
         fisher = SimpleNamespace(
             provenance=FisherProvenance("train_a", "taskA", "empirical", 1),
-            entry_table=store.entry_table(),
-            to_entries=broken_entries,
+            importance=BrokenImportance(store),
         )
         with pytest.raises(OSError, match="disk gone"):
             save_checkpoint(store, path, fisher=fisher)
@@ -232,3 +230,42 @@ class TestCheckpoint:
         store = init_network(small_spec(), seed=7)
         with pytest.raises(FormatError, match="reserved"):
             save_checkpoint(store, tmp_path / "x.ckpt", metadata={"entries": "1"})
+
+    @pytest.mark.parametrize("key,value", [
+        ("in_channels", "two"), ("trunk", "a"), ("heads", "taskA"), ("heads", "taskA:x"),
+        ("entries", "abc"), ("fisher_entries", "4x"), ("fisher_samples", "x"),
+    ])
+    def test_unparsable_header_value_names_the_key(self, tmp_path, key, value):
+        store = init_network(small_spec(), seed=7)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(store, path, fisher=FisherDiagonal.ones_like(store))
+        data = path.read_bytes()
+        (size,) = struct.unpack("<I", data[5:9])
+        lines = data[9 : 9 + size].decode("utf-8").splitlines()
+        header = "".join(
+            (f"{key}={value}" if line.split("=", 1)[0] == key else line) + "\n" for line in lines
+        ).encode("utf-8")
+        path.write_bytes(data[:5] + struct.pack("<I", len(header)) + header + data[9 + size :])
+        with pytest.raises(FormatError, match=key):
+            load_checkpoint(path)
+
+    def test_file_bytes_are_pinned(self, tmp_path):
+        # hand-valued entries, importances and metadata: any change to
+        # these bytes is a format change, which needs a new
+        # CHECKPOINT_VERSION
+        spec = NetworkSpec(in_channels=2, trunk=(3,), heads={"taskA": 2})
+        shapes = {"trunk.0.kernels": (3, 2, 3, 3), "trunk.0.bias": (3,),
+                  "head.taskA.weights": (2, 3, 1, 1), "head.taskA.bias": (2,)}
+        store = ParamStore(
+            {name: np.arange(np.prod(shape)).reshape(shape) / 8.0 - 1.0 for name, shape in shapes.items()},
+            spec=spec,
+        )
+        fisher = FisherDiagonal(
+            ParamStore({name: np.arange(np.prod(shape)).reshape(shape) * 0.5 for name, shape in shapes.items()}),
+            FisherProvenance("train_a", "taskA", "sampled", 64),
+        )
+        path = tmp_path / "pinned.ckpt"
+        save_checkpoint(store, path, metadata={"regime": "dm-a", "seed": "7"}, fisher=fisher)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "bbff012b3dcbbda132fd75f189e4c35413a4265fcdfc8912b7258f4df221217b"
+        )
