@@ -35,7 +35,7 @@ def dice(pred: Array, truth: Array, class_id: int) -> float | None:
 
 def predict_patch(store: ParamStore, head: str, patch: Array) -> Array:
     """Argmax-over-logits label map for one patch."""
-    return forward_pass(store, patch, head).values.argmax(axis=0)
+    return forward_pass(store, patch, head).argmax(axis=0)
 
 
 def predict_full(store: ParamStore, head: str, channels: Array, tile: int = 0) -> Array:

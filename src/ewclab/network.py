@@ -5,13 +5,16 @@ The trunk is a stack of valid 3x3 convolutions with ReLU; each head is a
 1x1 convolution over the last trunk feature map, so every head reads the
 same shared representation.  Parameters live in a :class:`ParamStore`, a
 name -> array map in insertion order; the task-A anchor and the Fisher
-importances are stores too, matched to the parameters by name.  Every
-computation graph holds a leaf per store entry, so a gradient map always
-covers the whole store.
+importances are stores too, matched to the parameters by name.  Training
+and the Fisher estimate build a computation graph with
+:func:`forward_logits`, which holds a leaf per store entry, so a gradient
+map always covers the whole store.  Inference (:func:`forward_pass`)
+builds no graph: it runs the same conv kernel on the store's arrays.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
@@ -20,7 +23,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .errors import AlignmentError, DimensionError, FormatError, HeadError, PrerequisiteError
-from .tensor import Graph, GradientMap, Tensor, conv2d, relu
+from .tensor import Graph, GradientMap, Tensor, conv2d, conv_forward, relu
 
 Array = np.ndarray
 
@@ -136,20 +139,32 @@ def _he_kernels(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
+def entry_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter entry ``spec`` implies, in store
+    order: each trunk layer's kernels and bias, then each head's."""
+    shapes = {}
+    prev = spec.in_channels
+    for i, width in enumerate(spec.trunk):
+        shapes[f"trunk.{i}.kernels"] = (width, prev, 3, 3)
+        shapes[f"trunk.{i}.bias"] = (width,)
+        prev = width
+    for name, classes in spec.heads.items():
+        shapes[f"head.{name}.weights"] = (classes, prev, 1, 1)
+        shapes[f"head.{name}.bias"] = (classes,)
+    return shapes
+
+
 def init_network(spec: NetworkSpec, seed: int) -> ParamStore:
     """He-initialized parameters (zero-mean Gaussian, variance 2/fan_in)
     for kernels and head weights, zero biases; deterministic per seed."""
     spec.validate()
     rng = np.random.default_rng(seed)
     store = ParamStore(spec=spec.copy())
-    prev = spec.in_channels
-    for i, width in enumerate(spec.trunk):
-        store.add(f"trunk.{i}.kernels", _he_kernels(rng, (width, prev, 3, 3), prev * 9))
-        store.add(f"trunk.{i}.bias", np.zeros(width))
-        prev = width
-    for name, classes in spec.heads.items():
-        store.add(f"head.{name}.weights", _he_kernels(rng, (classes, prev, 1, 1), prev))
-        store.add(f"head.{name}.bias", np.zeros(classes))
+    for name, shape in entry_shapes(spec).items():
+        if name.endswith(".bias"):
+            store.add(name, np.zeros(shape))
+        else:
+            store.add(name, _he_kernels(rng, shape, math.prod(shape[1:])))
     return store
 
 
@@ -195,9 +210,14 @@ def forward_logits(leaves: Mapping[str, Tensor], spec: NetworkSpec, patch: Array
     return conv2d(x, weights, bias)
 
 
-def forward_pass(store: ParamStore, patch: Array, head: str) -> Tensor:
+def forward_pass(store: ParamStore, patch: Array, head: str) -> Array:
     """Per-pixel logits [classes, H', W'] for one patch; a pure function
-    of (params, patch).  H' = H - 2 * len(trunk), likewise W'."""
+    of (params, patch).  H' = H - 2 * len(trunk), likewise W'.
+
+    Inference builds no graph: the same conv kernel as
+    :func:`forward_logits` runs on the store's arrays, and the result has
+    the bits of ``forward_logits(...).values``.
+    """
     spec = store.spec
     if spec is None:
         raise HeadError("store has no network spec")
@@ -211,7 +231,13 @@ def forward_pass(store: ParamStore, patch: Array, head: str) -> Tensor:
         raise DimensionError(
             f"patch {patch.shape} smaller than receptive field {2 * margin + 1}"
         )
-    return forward_logits(leaf_tensors(store, Graph()), spec, patch, head)
+    if head not in spec.heads:
+        raise HeadError(f"unknown head {head!r}; have {sorted(spec.heads)}")
+    x = patch
+    for i in range(len(spec.trunk)):
+        y, _ = conv_forward(x, store[f"trunk.{i}.kernels"], store[f"trunk.{i}.bias"])
+        x = np.where(y > 0.0, y, 0.0)  # relu's own expression, so zeros keep their sign
+    return conv_forward(x, store[f"head.{head}.weights"], store[f"head.{head}.bias"])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +386,8 @@ def _header_value(header: dict[str, str], key: str, parse, default: str | None =
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; a missing file raises :class:`PrerequisiteError`,
-    and bad magic, version, header values or truncation raise
+    and bad magic, version, header values, entries other than those the
+    header's network spec implies, or truncation raise
     :class:`FormatError` (with the failing byte offset where there is
     one)."""
     try:
@@ -385,6 +412,14 @@ def load_checkpoint(path) -> Checkpoint:
     store = ParamStore(spec=spec)
     for _ in range(_header_value(header, "entries", int)):
         store.add(*_read_entry(r))
+    found = {name: values.shape for name, values in store.items()}
+    implied = entry_shapes(spec)
+    if found != implied:
+        name = next(n for n in {**found, **implied} if found.get(n) != implied.get(n))
+        raise FormatError(
+            f"entry {name!r}: {found.get(name, 'missing')} in the file, "
+            f"{implied.get(name, 'none')} in the header's network spec"
+        )
 
     fisher = None
     if "fisher_entries" in header:

@@ -12,7 +12,8 @@ bit-identical.
 
 Only the operations a small patch-based segmentation network needs are
 provided; there is no broadcasting, no GPU path and no higher-order
-differentiation.
+differentiation.  Inference needs no graph: it runs on plain arrays
+through :func:`conv_forward`, the kernel under the :func:`conv2d` op.
 """
 
 from __future__ import annotations
@@ -173,15 +174,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor.op(av @ bv, (a, b), vjp)
 
 
-def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """Valid 2-D convolution, stride 1, cross-correlation convention
-    (kernels are not flipped).
+def conv_forward(x: Array, kernels: Array, bias: Array) -> tuple[Array, Array]:
+    """Valid 2-D convolution of plain arrays, stride 1, cross-correlation
+    convention (kernels are not flipped): the one conv kernel, serving
+    both :func:`conv2d` and graph-free inference.
 
-    x: [C,H,W], kernels: [O,C,K,K] with odd square K, bias: [O];
-    output [O, H-K+1, W-K+1].  An unnamed leaf ``x`` is a constant: the
-    backward rule returns None for it and never computes its gradient.
+    x: [C,H,W], kernels: [O,C,K,K] with odd square K, bias: [O].  Returns
+    the output [O, H-K+1, W-K+1] and the taps matrix [C*K*K, (H-K+1)*W]
+    the product was taken over (for K = 1, a view of x).
     """
-    if x.values.ndim != 3 or kernels.values.ndim != 4:
+    if x.ndim != 3 or kernels.ndim != 4:
         raise DimensionError(
             f"conv2d expects [C,H,W] input and [O,C,K,K] kernels, got {x.shape} and {kernels.shape}"
         )
@@ -197,22 +199,39 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError(f"conv2d bias shape {bias.shape} != ({o},)")
     k = kh
     hp, wp = h - k + 1, w - k + 1
-    # "Wide" rows: with x flattened to [C, H*W], tap (i, j) of output row r
-    # starts at r*W + i*W + j, so each tap over all rows is one contiguous
-    # slice.  Each wide output row has W columns; its last K-1 straddle two
-    # input rows and are dropped.  The last tap's slice must end inside x,
-    # so the final K-1 wide columns (dropped ones) read zeros instead.
+    if k == 1:
+        # a 1x1 conv's taps are the input itself
+        taps = x.reshape(c, h * w)
+    else:
+        # "Wide" rows: with x flattened to [C, H*W], tap (i, j) of output
+        # row r starts at r*W + i*W + j, so each tap over all rows is one
+        # contiguous slice.  Each wide output row has W columns; its last
+        # K-1 straddle two input rows and are dropped.  The last tap's
+        # slice must end inside x, so the final K-1 wide columns (dropped
+        # ones) read zeros instead.
+        n = hp * w
+        span = n - (k - 1)
+        xf = x.reshape(c, h * w)
+        taps = np.empty((c, k * k, n))
+        taps[:, :, span:] = 0.0
+        for i in range(k):
+            for j in range(k):
+                taps[:, i * k + j, :span] = xf[:, i * w + j : i * w + j + span]
+        taps = taps.reshape(c * k * k, n)
+    out = (kernels.reshape(o, c * k * k) @ taps).reshape(o, hp, w)[:, :, :wp] + bias[:, None, None]
+    return out, taps
+
+
+def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
+    """Graph op of :func:`conv_forward`.  An unnamed leaf ``x`` is a
+    constant: the backward rule returns None for it and never computes
+    its gradient."""
+    out, taps = conv_forward(x.values, kernels.values, bias.values)
+    c, h, w = x.shape
+    o, _, k, _ = kernels.shape
+    hp, wp = out.shape[1:]
     n = hp * w
-    span = n - (k - 1)
-    xf = x.values.reshape(c, h * w)
-    taps = np.empty((c, k * k, n))
-    taps[:, :, span:] = 0.0
-    for i in range(k):
-        for j in range(k):
-            taps[:, i * k + j, :span] = xf[:, i * w + j : i * w + j + span]
-    taps = taps.reshape(c * k * k, n)
     kmat = kernels.values.reshape(o, c * k * k)
-    out = (kmat @ taps).reshape(o, hp, w)[:, :, :wp] + bias.values[:, None, None]
     wants_dx = x.name is not None or bool(x.parents)
 
     def vjp(g: Array) -> tuple[Array | None, Array, Array]:
@@ -223,11 +242,21 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         db = g.sum(axis=(1, 2))
         if not wants_dx:
             return None, dk, db
+        # Tap t = (i, j) adds its rows of dtaps into dx shifted by i*W + j.
+        # Copied into a buffer with dx's channel stride, that shifted add
+        # is one 1-D add over all channels.  Where a 2-D scatter would add
+        # nothing, it adds dtaps' dropped wide columns (g_wide is zero
+        # there) or the buffer's zero fill: all +-0.0, and adding +-0.0 to
+        # a sum begun at +0.0 changes no bit.
         dtaps = (kmat.T @ g_wide).reshape(c, k * k, n)
-        dx = np.zeros((c, h * w))
+        tap = np.zeros((c, h * w))
+        flat = tap.reshape(-1)
+        dx = np.zeros(c * h * w)
         for i in range(k):
             for j in range(k):
-                dx[:, i * w + j : i * w + j + span] += dtaps[:, i * k + j, :span]
+                shift = i * w + j
+                tap[:, :n] = dtaps[:, i * k + j]
+                dx[shift:] += flat[: flat.size - shift]
         return dx.reshape(c, h, w), dk, db
 
     return Tensor.op(out, (x, kernels, bias), vjp)

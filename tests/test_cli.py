@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from ewclab.cli import main
 from ewclab.harness import CSV_HEADER
-from ewclab.network import load_checkpoint
+from ewclab.network import NetworkSpec, ParamStore, init_network, load_checkpoint, save_checkpoint
 
 TINY = [
     "--seeds", "1", "--epochs", "2", "--image-size", "32",
@@ -139,6 +144,16 @@ class TestExitCodes:
                 err = capsys.readouterr().err
                 assert err.startswith("prerequisite error: ") and "taskB" in err, (regime, command)
 
+    def test_checkpoint_unlike_its_header_exits_1(self, tmp_path, capsys):
+        # a trunk=6,6 store under a header that says trunk=6,6,6
+        ckpt = tmp_path / "net.ckpt"
+        store = init_network(NetworkSpec(in_channels=2, trunk=(6, 6), heads={"taskA": 4}), seed=1)
+        save_checkpoint(ParamStore(store, spec=NetworkSpec(2, (6, 6, 6), {"taskA": 4})), ckpt)
+        code = run(["evaluate", "--checkpoint", str(ckpt), "--out", str(tmp_path)] + TINY)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "trunk.2.kernels" in err
+
     @pytest.mark.parametrize("command", [
         ["fisher"], ["evaluate"], ["train", "--regime", "finetune"],
     ], ids=["fisher", "evaluate", "train"])
@@ -223,3 +238,13 @@ class TestCommands:
         assert run(["train", "--regime", "dm-b", "--out", out, "--seed", "5"] + TINY[2:]) == 0
         record_txt = next((tmp_path / "runs").iterdir()) / "record.txt"
         assert "seed=5" in record_txt.read_text()
+
+
+def test_python_dash_m_runs_the_cli_from_a_checkout():
+    # no install: only src/ on the path, as in a plain checkout
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "ewclab", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "run-experiment" in done.stdout

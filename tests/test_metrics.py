@@ -148,6 +148,29 @@ class TestEvaluateModel:
         patch = self.samples[0].channels[:, :10, :10]
         from ewclab.network import forward_pass
 
-        logits = forward_pass(self.store, patch, "taskA").values
+        logits = forward_pass(self.store, patch, "taskA")
         assert np.array_equal(predict_patch(self.store, "taskA", patch), logits.argmax(axis=0))
 
+    def test_inference_builds_no_graph(self, monkeypatch):
+        from ewclab import tensor
+
+        nodes = []
+        register = tensor.Graph._register
+
+        def counted(graph, node):
+            nodes.append(node)
+            return register(graph, node)
+
+        monkeypatch.setattr(tensor.Graph, "_register", counted)
+        m = self.margin
+        patches = [(s.channels[:, :14, :14], s.labels_a[m : 14 - m, m : 14 - m]) for s in self.samples]
+        evaluate_model(self.store, "taskA", TASK_A, patches, "patch")
+        evaluate_model(self.store, "taskB", TASK_B, self.samples, "full", tile=7)
+        for tile in (0, 7):
+            predict_full(self.store, "taskA", self.samples[0].channels, tile=tile)
+        assert nodes == []
+        # the counter sees the graphs training builds
+        from ewclab.network import forward_logits, leaf_tensors
+
+        forward_logits(leaf_tensors(self.store, tensor.Graph()), self.store.spec, patches[0][0], "taskA")
+        assert nodes

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -15,16 +16,31 @@ from ewclab.network import (
     NetworkSpec,
     ParamStore,
     attach_head,
+    forward_logits,
     forward_pass,
     init_network,
+    leaf_tensors,
     load_checkpoint,
     output_margin,
     save_checkpoint,
 )
+from ewclab.tensor import Graph
 
 
 def small_spec(heads=None):
     return NetworkSpec(in_channels=2, trunk=(4, 4), heads=heads or {"taskA": 4})
+
+
+def rewrite_header(path, key, value):
+    """Replace the value of header line ``key`` in the checkpoint at
+    ``path``, fixing up the header length."""
+    data = path.read_bytes()
+    (size,) = struct.unpack("<I", data[5:9])
+    lines = data[9 : 9 + size].decode("utf-8").splitlines()
+    header = "".join(
+        (f"{key}={value}" if line.split("=", 1)[0] == key else line) + "\n" for line in lines
+    ).encode("utf-8")
+    path.write_bytes(data[:5] + struct.pack("<I", len(header)) + header + data[9 + size :])
 
 
 class TestInit:
@@ -70,7 +86,7 @@ class TestForward:
     def test_zero_params_give_zero_logits(self):
         store = init_network(small_spec(), seed=0)
         zeroed = ParamStore({n: np.zeros_like(store[n]) for n in store}, spec=store.spec)
-        logits = forward_pass(zeroed, np.ones((2, 9, 9)), "taskA").values
+        logits = forward_pass(zeroed, np.ones((2, 9, 9)), "taskA")
         assert np.all(logits == 0.0)
 
     def test_output_spatial_size(self):
@@ -78,15 +94,15 @@ class TestForward:
         spec = NetworkSpec(in_channels=2, trunk=(3, 3, 3), heads={"taskA": 4})
         store = init_network(spec, seed=2)
         rng = np.random.default_rng(0)
-        logits = forward_pass(store, rng.normal(size=(2, 17, 17)), "taskA").values
+        logits = forward_pass(store, rng.normal(size=(2, 17, 17)), "taskA")
         assert logits.shape == (4, 11, 11)
         assert output_margin(spec) == 3
 
     def test_pure_function_bitwise(self):
         store = init_network(small_spec(), seed=3)
         patch = np.random.default_rng(1).normal(size=(2, 8, 8))
-        a = forward_pass(store, patch, "taskA").values
-        b = forward_pass(store, patch, "taskA").values
+        a = forward_pass(store, patch, "taskA")
+        b = forward_pass(store, patch, "taskA")
         assert a.tobytes() == b.tobytes()
 
     def test_unknown_head(self):
@@ -100,15 +116,38 @@ class TestForward:
             forward_pass(store, np.zeros((2, 4, 4)), "taskA")
 
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bitwise_equal_to_the_graph_forward(self, seed):
+        rng = np.random.default_rng(seed)
+        heads = {"taskA": int(rng.integers(2, 5))}
+        if seed % 2:
+            heads["taskB"] = 2
+        spec = NetworkSpec(
+            in_channels=int(rng.integers(1, 4)),
+            trunk=tuple(int(w) for w in rng.integers(1, 13, size=rng.integers(1, 4))),
+            heads=heads,
+        )
+        store = init_network(spec, seed=seed)
+        for name in store:  # nonzero biases, so relu sees both signs
+            if name.endswith("bias"):
+                store[name][...] = rng.normal(size=store[name].shape)
+        field = 2 * output_margin(spec) + 1
+        for h, w in [(field, field), (field, field + 5), (field + 11, field + 3)]:
+            patch = rng.normal(size=(spec.in_channels, h, w))
+            for head in heads:
+                graph = forward_logits(leaf_tensors(store, Graph()), spec, patch, head).values
+                assert forward_pass(store, patch, head).tobytes() == graph.tobytes()
+
+
 class TestAttachHead:
     def test_trunk_untouched_and_old_head_identical(self):
         store = init_network(small_spec(), seed=4)
         patch = np.random.default_rng(2).normal(size=(2, 9, 9))
-        before = forward_pass(store, patch, "taskA").values
+        before = forward_pass(store, patch, "taskA")
         grown = attach_head(store, "taskB", 2, seed=99)
         for name in store:
             assert grown[name].tobytes() == store[name].tobytes()
-        after = forward_pass(grown, patch, "taskA").values
+        after = forward_pass(grown, patch, "taskA")
         assert before.tobytes() == after.tobytes()
 
     def test_new_entries_present_with_fresh_indices(self):
@@ -239,14 +278,39 @@ class TestCheckpoint:
         store = init_network(small_spec(), seed=7)
         path = tmp_path / "net.ckpt"
         save_checkpoint(store, path, fisher=FisherDiagonal.ones_like(store))
-        data = path.read_bytes()
-        (size,) = struct.unpack("<I", data[5:9])
-        lines = data[9 : 9 + size].decode("utf-8").splitlines()
-        header = "".join(
-            (f"{key}={value}" if line.split("=", 1)[0] == key else line) + "\n" for line in lines
-        ).encode("utf-8")
-        path.write_bytes(data[:5] + struct.pack("<I", len(header)) + header + data[9 + size :])
+        rewrite_header(path, key, value)
         with pytest.raises(FormatError, match=key):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,value,entry", [
+        ("trunk", "4,4,4", "trunk.2.kernels"),  # missing
+        ("trunk", "4", "trunk.1.kernels"),  # extra
+        ("trunk", "4,5", "trunk.1.kernels"),  # misshaped
+        ("in_channels", "3", "trunk.0.kernels"),
+        ("heads", "taskA:4,taskB:2", "head.taskB.weights"),
+        ("heads", "taskA:3", "head.taskA.weights"),
+    ])
+    def test_header_spec_unlike_the_entries_names_the_entry(self, tmp_path, key, value, entry):
+        store = init_network(small_spec(), seed=7)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(store, path)
+        rewrite_header(path, key, value)
+        with pytest.raises(FormatError, match=re.escape(repr(entry))):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit,entry", [
+        (lambda entries: entries.pop("head.taskA.bias"), "head.taskA.bias"),
+        (lambda entries: entries.update(extra=np.zeros(2)), "extra"),
+        (lambda entries: entries.update({"trunk.1.kernels": np.zeros((4, 4, 1, 1))}), "trunk.1.kernels"),
+        (lambda entries: entries.update({"trunk.0.bias": np.zeros(5)}), "trunk.0.bias"),
+    ], ids=["missing", "extra", "kernel-shape", "bias-shape"])
+    def test_entries_unlike_the_spec_names_the_entry(self, tmp_path, edit, entry):
+        store = init_network(small_spec(), seed=7)
+        entries = dict(store)
+        edit(entries)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(ParamStore(entries, spec=store.spec), path)
+        with pytest.raises(FormatError, match=re.escape(repr(entry))):
             load_checkpoint(path)
 
     def test_file_bytes_are_pinned(self, tmp_path):

@@ -17,6 +17,7 @@ from ewclab.tensor import (
     add_n,
     backward,
     conv2d,
+    conv_forward,
     finite_diff_grad,
     log_softmax,
     matmul,
@@ -72,6 +73,33 @@ class TestMatmul:
         b = make(np.zeros((2, 3)), graph=a.graph)
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 3\)"):
             matmul(a, b)
+
+
+def reference_conv_vjp(xv, kv, gv):
+    """conv2d's gradients (dx, dk, db) from the wide-row taps and GEMMs,
+    with dx scattered by one strided 2-D add per tap: the oracle the
+    kernel must equal bit for bit."""
+    c, h, w = xv.shape
+    o, _, k, _ = kv.shape
+    hp, wp = h - k + 1, w - k + 1
+    n = hp * w
+    span = n - (k - 1)
+    xf = xv.reshape(c, h * w)
+    taps = np.zeros((c, k * k, n))
+    for i in range(k):
+        for j in range(k):
+            taps[:, i * k + j, :span] = xf[:, i * w + j : i * w + j + span]
+    taps = taps.reshape(c * k * k, n)
+    g_wide = np.zeros((o, hp, w))
+    g_wide[:, :, :wp] = gv
+    g_wide = g_wide.reshape(o, n)
+    dk = (g_wide @ taps.T).reshape(o, c, k, k)
+    dtaps = (kv.reshape(o, c * k * k).T @ g_wide).reshape(c, k * k, n)
+    dx = np.zeros((c, h * w))
+    for i in range(k):
+        for j in range(k):
+            dx[:, i * w + j : i * w + j + span] += dtaps[:, i * k + j, :span]
+    return dx.reshape(c, h, w), dk, gv.sum(axis=(1, 2))
 
 
 class TestConv2d:
@@ -180,6 +208,51 @@ class TestConv2d:
         k = make(np.zeros((1, 1, 3, 3)), graph=g)
         with pytest.raises(DimensionError):
             conv2d(x, k, make(np.zeros(1), graph=g))
+
+    @pytest.mark.parametrize("x_shape,k_shape,b_shape,match", [
+        ((1, 4, 4, 1), (1, 1, 3, 3), (1,), "expects"),
+        ((1, 4, 4), (1, 1, 3), (1,), "expects"),
+        ((2, 4, 4), (1, 1, 3, 3), (1,), "channel mismatch"),
+        ((1, 4, 4), (1, 1, 2, 2), (1,), "odd and square"),
+        ((1, 4, 4), (1, 1, 3, 1), (1,), "odd and square"),
+        ((1, 2, 4), (1, 1, 3, 3), (1,), "smaller than kernel"),
+        ((1, 4, 4), (2, 1, 3, 3), (1,), "bias shape"),
+    ])
+    def test_shape_errors_are_the_same_on_arrays(self, x_shape, k_shape, b_shape, match):
+        arrays = np.zeros(x_shape), np.zeros(k_shape), np.zeros(b_shape)
+        with pytest.raises(DimensionError, match=match) as on_arrays:
+            conv_forward(*arrays)
+        g = Graph()
+        with pytest.raises(DimensionError) as on_tensors:
+            conv2d(*(make(a, graph=g) for a in arrays))
+        assert str(on_arrays.value) == str(on_tensors.value)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("named_x", [True, False], ids=["named-x", "constant-x"])
+    def test_vjp_bitwise_equals_the_2d_scatter(self, k, named_x):
+        rng = np.random.default_rng(40 + k)
+        for _ in range(20):
+            c, o = rng.integers(1, 13, size=2)
+            h, w = rng.integers(k, k + 16, size=2)
+            xv = rng.normal(size=(c, h, w))
+            xv[xv < -0.5] = 0.0
+            kv = rng.normal(size=(o, c, k, k))
+            bv = rng.normal(size=o)
+            gv = rng.normal(size=(o, h - k + 1, w - k + 1))
+            gv[rng.random(gv.shape) < 0.3] = -0.0
+            gv[rng.random(gv.shape) < 0.1] = 0.0
+            gv[:, 0] = -0.0  # a whole output row of negative zeros
+            g = Graph()
+            x = Tensor.param("x", xv, g) if named_x else Tensor.const(xv, g)
+            out = conv2d(x, Tensor.param("k", kv, g), Tensor.param("b", bv, g))
+            expect = reference_conv_vjp(xv, kv, gv)
+            got = out.vjp(gv)
+            if named_x:
+                assert got[0].tobytes() == expect[0].tobytes()
+            else:
+                assert got[0] is None
+            assert got[1].tobytes() == expect[1].tobytes()
+            assert got[2].tobytes() == expect[2].tobytes()
 
 
 class TestRelu:
