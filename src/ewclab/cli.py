@@ -114,12 +114,10 @@ def cmd_evaluate(args) -> int:
     ckpt = network.load_checkpoint(config.checkpoint)
     manifest, gen_config = load_data(config)
     bank = SampleBank(manifest, gen_config)
-    validation = bank.split("validation")
-    for task in TASKS.values():
-        if task.head not in ckpt.params.spec.heads:
-            continue
-        scores = metrics.evaluate_model(ckpt.params, task.head, task, validation, "full", tile=config.tile)
-        for class_name, value in scores.items():
+    tasks = [task for task in TASKS.values() if task.head in ckpt.params.spec.heads]
+    scores = metrics.evaluate_full(ckpt.params, tasks, bank.split("validation"), tile=config.tile)
+    for task in tasks:
+        for class_name, value in scores[task.task_id].items():
             print(f"task {task.task_id} {class_name}: {100.0 * value:.1f}")
     return 0
 
@@ -128,7 +126,7 @@ def cmd_run_experiment(args) -> int:
     config = _gather_config(args)
     records = harness.run_experiment(config, progress=print)
     print(f"\n{len(records)} runs complete; outputs under {config.out_dir}")
-    print((Path(config.out_dir) / "summary.txt").read_text())
+    print((Path(config.out_dir) / "summary.txt").read_text(encoding="utf-8"))
     return 0
 
 

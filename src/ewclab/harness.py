@@ -427,14 +427,20 @@ def train(
     rows: list[MetricRow] = []
 
     def score(epoch: int, scope: str) -> None:
-        """Append one evaluation's Dice rows, tasks then classes in order."""
-        for task in eval_tasks:
-            samples = eval_sets[task.task_id] if scope == "patch" else validation
-            scores = metrics.evaluate_model(store, task.head, task, samples, scope, tile=config.tile)
-            rows.extend(
-                MetricRow(rid, plan.kind, plan.lam, plan.seed, epoch, scope, task.task_id, name, value)
-                for name, value in scores.items()
-            )
+        """Append one evaluation's Dice rows, tasks then classes in order;
+        full scope scores every task in one pass over the images."""
+        if scope == "full":
+            scores = metrics.evaluate_full(store, eval_tasks, validation, tile=config.tile)
+        else:
+            scores = {
+                task.task_id: metrics.evaluate_model(store, task.head, task, eval_sets[task.task_id], scope)
+                for task in eval_tasks
+            }
+        rows.extend(
+            MetricRow(rid, plan.kind, plan.lam, plan.seed, epoch, scope, task.task_id, name, value)
+            for task in eval_tasks
+            for name, value in scores[task.task_id].items()
+        )
 
     score(0, "patch")
     losses: list[tuple[int, float | None, float]] = [(0, None, 0.0)]  # epoch, loss, penalty
@@ -737,7 +743,8 @@ def emit_summary_table(rows: list[MetricRow]) -> tuple[str, str]:
 def emit_plots(rows: list[MetricRow], plot_dir: str | Path) -> list[Path]:
     """One SVG per regime of ``REGIMES`` (like the summary, rows of any
     other regime are ignored): panels per class in task order, one line
-    per lambda (legend ascending), patch-scope DSC% against epoch."""
+    per lambda (legend ascending), patch-scope DSC% against epoch.  The
+    SVG of a regime without rows is removed; other files stay."""
     plot_dir = Path(plot_dir)
     plot_dir.mkdir(parents=True, exist_ok=True)
     # regime -> (task, class) -> lambda -> epoch -> Dice values in row order
@@ -766,4 +773,7 @@ def emit_plots(rows: list[MetricRow], plot_dir: str | Path) -> list[Path]:
         path = plot_dir / f"{regime}.svg"
         write_text(path, svg)
         written.append(path)
+    for regime in REGIMES:  # a plot of an earlier, wider sweep
+        if plot_dir / f"{regime}.svg" not in written:
+            (plot_dir / f"{regime}.svg").unlink(missing_ok=True)
     return written

@@ -8,8 +8,9 @@ name -> array map in insertion order; the task-A anchor and the Fisher
 importances are stores too, matched to the parameters by name.  Training
 and the Fisher estimate build a computation graph with
 :func:`forward_logits`, which holds a leaf per store entry, so a gradient
-map always covers the whole store.  Inference (:func:`forward_pass`)
-builds no graph: it runs the same conv kernel on the store's arrays.
+map always covers the whole store.  Inference (:func:`forward_heads`)
+builds no graph: it runs the same conv kernel on the store's arrays, the
+trunk once for all the heads it scores.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -210,13 +211,15 @@ def forward_logits(leaves: Mapping[str, Tensor], spec: NetworkSpec, patch: Array
     return conv2d(x, weights, bias)
 
 
-def forward_pass(store: ParamStore, patch: Array, head: str) -> Array:
-    """Per-pixel logits [classes, H', W'] for one patch; a pure function
-    of (params, patch).  H' = H - 2 * len(trunk), likewise W'.
+def forward_heads(store: ParamStore, patch: Array, heads: Sequence[str]) -> list[Array]:
+    """Per-pixel logits [classes, H', W'] of each head in ``heads`` for one
+    patch; a pure function of (params, patch).  H' = H - 2 * len(trunk),
+    likewise W'.  The trunk runs once, and every head's 1x1 conv reads
+    its last feature map; the patch and every head are checked first.
 
     Inference builds no graph: the same conv kernel as
-    :func:`forward_logits` runs on the store's arrays, and the result has
-    the bits of ``forward_logits(...).values``.
+    :func:`forward_logits` runs on the store's arrays, and each result
+    has the bits of ``forward_logits(...).values``.
     """
     spec = store.spec
     if spec is None:
@@ -231,13 +234,20 @@ def forward_pass(store: ParamStore, patch: Array, head: str) -> Array:
         raise DimensionError(
             f"patch {patch.shape} smaller than receptive field {2 * margin + 1}"
         )
-    if head not in spec.heads:
-        raise HeadError(f"unknown head {head!r}; have {sorted(spec.heads)}")
+    for head in heads:
+        if head not in spec.heads:
+            raise HeadError(f"unknown head {head!r}; have {sorted(spec.heads)}")
     x = patch
     for i in range(len(spec.trunk)):
-        y, _ = conv_forward(x, store[f"trunk.{i}.kernels"], store[f"trunk.{i}.bias"])
+        y = conv_forward(x, store[f"trunk.{i}.kernels"], store[f"trunk.{i}.bias"])[0]
         x = np.where(y > 0.0, y, 0.0)  # relu's own expression, so zeros keep their sign
-    return conv_forward(x, store[f"head.{head}.weights"], store[f"head.{head}.bias"])[0]
+    return [conv_forward(x, store[f"head.{h}.weights"], store[f"head.{h}.bias"])[0] for h in heads]
+
+
+def forward_pass(store: ParamStore, patch: Array, head: str) -> Array:
+    """Per-pixel logits [classes, H', W'] of one head for one patch: the
+    one-head case of :func:`forward_heads`."""
+    return forward_heads(store, patch, (head,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +319,7 @@ def save_checkpoint(
     if store.spec is None:
         raise FormatError("cannot checkpoint a store without a network spec")
     header = _dump_header(store.spec, len(store), metadata or {}, fisher)
-    with atomic_open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<B", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(header)))

@@ -222,6 +222,21 @@ class TestCommands:
         assert run(["plot", "--out", out] + TINY) == 0
         assert (tmp_path / "plots" / "l2.svg").exists()
 
+    def test_a_narrower_sweep_or_plot_removes_stale_plots(self, tmp_path, capsys):
+        out = str(tmp_path)
+        assert run(["run-experiment", "--regime", "l2", "--lambda", "0.5", "--out", out] + TINY) == 0
+        assert sorted(p.name for p in (tmp_path / "plots").iterdir()) == ["dm-a.svg", "l2.svg"]
+        (tmp_path / "plots" / "notes.txt").write_text("kept\n")
+        assert run(["run-experiment", "--regime", "dm-b", "--out", out] + TINY) == 0
+        assert sorted(p.name for p in (tmp_path / "plots").iterdir()) == ["dm-b.svg", "notes.txt"]
+
+        assert run(["run-experiment", "--regime", "l2", "--lambda", "0.5", "--out", out] + TINY) == 0
+        curves = tmp_path / "curves.csv"
+        lines = curves.read_text().splitlines()
+        curves.write_text("\n".join(line for line in lines if ",l2," not in line) + "\n")
+        assert run(["plot", "--out", out] + TINY) == 0
+        assert sorted(p.name for p in (tmp_path / "plots").iterdir()) == ["dm-a.svg", "notes.txt"]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_4(self, tmp_path, capsys):
         more_steps = ["--epochs", "3", "--patches-per-image", "6"]
@@ -248,3 +263,23 @@ def test_python_dash_m_runs_the_cli_from_a_checkout():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "run-experiment" in done.stdout
+
+
+def test_artifacts_are_utf8_under_an_ascii_locale(tmp_path):
+    # the C locale with coercion and UTF-8 mode off: the preferred encoding is ASCII
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "LC_ALL": "C",
+           "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    overrides = dict(zip((flag[2:].replace("-", "_") for flag in TINY[::2]), TINY[1::2]))
+    overrides.update({"regime": "dm-a,l2", "lambda": "0.5", "out_dir": str(tmp_path)})
+    code = (
+        "import locale\n"
+        "from ewclab.harness import parse_config, run_experiment\n"
+        "assert locale.getpreferredencoding(False).lower() in ('ascii', 'ansi_x3.4-1968')\n"
+        f"run_experiment(parse_config(overrides={overrides!r}))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "L2 λ=0.5" in (tmp_path / "summary.txt").read_text(encoding="utf-8")
+    assert "λ=0.5" in (tmp_path / "plots" / "l2.svg").read_text(encoding="utf-8")

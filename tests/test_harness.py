@@ -8,6 +8,7 @@ default scale.
 
 from __future__ import annotations
 
+import os
 import shutil
 
 import numpy as np
@@ -304,11 +305,11 @@ class TestExperiment:
         assert len(again) == len(records)
         assert (out / "curves.csv").read_bytes() == curves_before
 
-    def test_rerun_generates_no_data_and_rewrites_the_same_bytes(self, experiment, monkeypatch):
+    def test_rerun_generates_no_data_and_leaves_every_file_in_place(self, experiment, monkeypatch):
         out, config, records = experiment
-        artifacts = ["curves.csv", "summary.txt", "summary.csv"]
-        artifacts += [f"plots/{p.name}" for p in sorted((out / "plots").iterdir())]
-        before = {name: (out / name).read_bytes() for name in artifacts}
+        files = sorted(p for p in out.rglob("*") if p.is_file())
+        assert {"curves.csv", "summary.txt", "summary.csv", "manifest.txt"} <= {p.name for p in files}
+        before = {p: (p.read_bytes(), p.stat().st_mtime_ns, p.stat().st_ino) for p in files}
         calls = []
 
         def counted(name, fn):
@@ -321,9 +322,11 @@ class TestExperiment:
                             counted("generate_sample", synthtasks.generate_sample))
         monkeypatch.setattr(harness, "build_eval_patches",
                             counted("build_eval_patches", harness.build_eval_patches))
+        monkeypatch.setattr(os, "replace", counted("os.replace", os.replace))
         assert len(run_experiment(config)) == len(records)
         assert calls == []
-        assert {name: (out / name).read_bytes() for name in artifacts} == before
+        assert sorted(p for p in out.rglob("*") if p.is_file()) == files
+        assert {p: (p.read_bytes(), p.stat().st_mtime_ns, p.stat().st_ino) for p in files} == before
 
     def test_extended_sweep_trains_only_the_new_lambda(self, tmp_path, trained):
         run_experiment(tiny_config(tmp_path / "grow", regime="l2", **{"lambda": "0.5"}))
@@ -515,13 +518,48 @@ class TestRunStore:
         assert (out / "curves.csv").read_bytes() == curves
         assert list(out.rglob("*.tmp")) == []
 
+    def test_rerun_removes_a_stray_tmp_and_restores_an_edited_report(self, tmp_path):
+        config = tiny_config(tmp_path)
+        run_experiment(config)
+        out = tmp_path / "exp"
+        path = out / "curves.csv"
+        curves, mtime = path.read_bytes(), path.stat().st_mtime_ns
+        (out / "curves.csv.tmp").write_bytes(curves[:50])
+        run_experiment(config)
+        assert not (out / "curves.csv.tmp").exists()
+        assert (path.read_bytes(), path.stat().st_mtime_ns) == (curves, mtime)
+
+        path.write_bytes(curves.replace(b",dm-a,", b",dm-b,"))
+        run_experiment(config)
+        assert path.read_bytes() == curves
+        assert list(out.rglob("*.tmp")) == []
+
+    def test_failed_replace_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        config = tiny_config(tmp_path)
+        run_experiment(config)
+        out = tmp_path / "exp"
+        curves = (out / "curves.csv").read_bytes()
+        # a changed row makes run_experiment write curves.csv, whose
+        # replacement fails after the temporary file is written
+        csv_line = MetricRow.csv_line
+        monkeypatch.setattr(MetricRow, "csv_line", lambda row: csv_line(row) + "0")
+
+        def failing_replace(src, dst):
+            raise OSError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="curves.csv"):
+            run_experiment(config)
+        assert (out / "curves.csv").read_bytes() == curves
+        assert list(out.rglob("*.tmp")) == []
+
     def test_failed_artifact_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
         config = tiny_config(tmp_path)
         run_experiment(config)
         out = tmp_path / "exp"
         curves = (out / "curves.csv").read_bytes()
-        # an unencodable character makes the curves.csv write raise
-        # after the file is opened
+        # an unencodable character makes the curves.csv write raise at
+        # the UTF-8 encode step, before any file is opened
         csv_line = MetricRow.csv_line
         monkeypatch.setattr(MetricRow, "csv_line", lambda row: csv_line(row) + "\udc80")
         with pytest.raises(UnicodeEncodeError):

@@ -5,17 +5,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ewclab.errors import DimensionError
+from ewclab.errors import DimensionError, HeadError
 from ewclab.metrics import (
     dice,
+    evaluate_full,
     evaluate_model,
     interior,
     pooled_dice,
     predict_full,
+    predict_full_heads,
     predict_patch,
 )
-from ewclab.network import NetworkSpec, init_network, output_margin
+from ewclab.network import NetworkSpec, forward_logits, init_network, leaf_tensors, output_margin
 from ewclab.synthtasks import TASK_A, TASK_B, GeneratorConfig, generate_sample
+from ewclab.tensor import Graph
 
 
 class TestDice:
@@ -144,6 +147,38 @@ class TestEvaluateModel:
         assert whole.shape == tiled.shape
         assert np.array_equal(whole, tiled)
 
+    @pytest.mark.parametrize("tile", [0, 7])
+    @pytest.mark.parametrize("heads", [{"taskB": 2}, {"taskA": 4, "taskB": 2}])
+    def test_evaluate_full_equals_the_per_task_scores(self, heads, tile):
+        spec = NetworkSpec(in_channels=2, trunk=(6, 6), heads=heads)
+        store = init_network(spec, seed=5)
+        samples = self.samples + [generate_sample(13, self.config)]
+        tasks = [task for task in (TASK_A, TASK_B) if task.head in heads]
+        scores = evaluate_full(store, tasks, samples, tile=tile)
+        assert list(scores) == [task.task_id for task in tasks]
+        for s in samples:
+            maps = predict_full_heads(store, [task.head for task in tasks], s.channels, tile=tile)
+            for task, labels in zip(tasks, maps):
+                # the graph forward over the whole image, one head at a time
+                graph = forward_logits(leaf_tensors(store, Graph()), spec, s.channels, task.head)
+                assert labels.tobytes() == graph.values.argmax(axis=0).tobytes()
+                assert labels.tobytes() == predict_full(store, task.head, s.channels, tile=tile).tobytes()
+        for task in tasks:
+            pairs = [
+                (predict_full(store, task.head, s.channels, tile=tile), interior(task.labels_of(s), self.margin))
+                for s in samples
+            ]
+            reference = pooled_dice(pairs, task.n_classes)
+            expect = {task.class_names[c]: v for c, v in enumerate(reference) if c > 0 and v is not None}
+            assert scores[task.task_id] == expect
+            assert evaluate_model(store, task.head, task, samples, "full", tile=tile) == expect
+
+    def test_evaluate_full_of_a_missing_head_raises(self):
+        spec = NetworkSpec(in_channels=2, trunk=(6, 6), heads={"taskA": 4})
+        store = init_network(spec, seed=5)
+        with pytest.raises(HeadError, match="taskB"):
+            evaluate_full(store, [TASK_A, TASK_B], self.samples)
+
     def test_predict_patch_argmax(self):
         patch = self.samples[0].channels[:, :10, :10]
         from ewclab.network import forward_pass
@@ -166,6 +201,7 @@ class TestEvaluateModel:
         patches = [(s.channels[:, :14, :14], s.labels_a[m : 14 - m, m : 14 - m]) for s in self.samples]
         evaluate_model(self.store, "taskA", TASK_A, patches, "patch")
         evaluate_model(self.store, "taskB", TASK_B, self.samples, "full", tile=7)
+        evaluate_full(self.store, [TASK_A, TASK_B], self.samples)
         for tile in (0, 7):
             predict_full(self.store, "taskA", self.samples[0].channels, tile=tile)
         assert nodes == []

@@ -16,6 +16,7 @@ from ewclab.network import (
     NetworkSpec,
     ParamStore,
     attach_head,
+    forward_heads,
     forward_logits,
     forward_pass,
     init_network,
@@ -134,9 +135,31 @@ class TestForward:
         field = 2 * output_margin(spec) + 1
         for h, w in [(field, field), (field, field + 5), (field + 11, field + 3)]:
             patch = rng.normal(size=(spec.in_channels, h, w))
-            for head in heads:
+            shared = forward_heads(store, patch, list(heads)[::-1])
+            for head, logits in zip(list(heads)[::-1], shared):
                 graph = forward_logits(leaf_tensors(store, Graph()), spec, patch, head).values
                 assert forward_pass(store, patch, head).tobytes() == graph.tobytes()
+                assert logits.tobytes() == graph.tobytes()
+
+    def test_heads_are_checked_before_any_conv(self, monkeypatch):
+        from ewclab import network
+
+        spec = NetworkSpec(in_channels=2, trunk=(3, 3), heads={"taskA": 4, "taskB": 2})
+        store = init_network(spec, seed=0)
+        convs = []
+        conv_forward = network.conv_forward
+
+        def counted(x, kernels, bias):
+            convs.append(kernels.shape)
+            return conv_forward(x, kernels, bias)
+
+        monkeypatch.setattr(network, "conv_forward", counted)
+        with pytest.raises(HeadError, match="nope"):
+            forward_heads(store, np.zeros((2, 9, 9)), ["taskA", "nope"])
+        assert convs == []
+        # one trunk pass, then one 1x1 conv per head
+        forward_heads(store, np.zeros((2, 9, 9)), ["taskB", "taskA"])
+        assert convs == [(3, 2, 3, 3), (3, 3, 3, 3), (2, 3, 1, 1), (4, 3, 1, 1)]
 
 
 class TestAttachHead:
