@@ -21,7 +21,6 @@ from .continual import REGIMES, build_regime, canonical_regime, load_task_a_chec
 from .errors import ConfigError, DivergenceError, EwcLabError, PrerequisiteError
 from .harness import (
     ExperimentConfig,
-    MetricRow,
     _ATTR_TO_KEY,
     config_digest,
     emit_plots,
@@ -58,11 +57,19 @@ def _gather_config(args) -> ExperimentConfig:
     return parse_config(args.config, overrides)
 
 
-def _load_rows(out_dir: Path) -> list[MetricRow]:
+def _load_groups(out_dir: Path) -> harness.RowGroups:
     path = out_dir / "curves.csv"
     if not path.exists():
         raise PrerequisiteError(f"no curves.csv under {out_dir}; run an experiment first")
-    return harness.read_metric_rows(path)
+    return harness.group_rows(harness.read_metric_rows(path)[0])
+
+
+def _print_utf8(data: bytes) -> None:
+    """Standard output gets the UTF-8 bytes of a report (its method labels
+    hold 'λ') whatever the locale's encoding."""
+    sys.stdout.flush()
+    sys.stdout.buffer.write(data)
+    sys.stdout.buffer.flush()
 
 
 def cmd_generate_data(args) -> int:
@@ -126,14 +133,14 @@ def cmd_run_experiment(args) -> int:
     config = _gather_config(args)
     records = harness.run_experiment(config, progress=print)
     print(f"\n{len(records)} runs complete; outputs under {config.out_dir}")
-    print((Path(config.out_dir) / "summary.txt").read_text(encoding="utf-8"))
+    _print_utf8((Path(config.out_dir) / "summary.txt").read_bytes() + b"\n")
     return 0
 
 
 def cmd_plot(args) -> int:
     config = _gather_config(args)
     out = Path(config.out_dir)
-    written = emit_plots(_load_rows(out), out / "plots")
+    written = emit_plots(_load_groups(out), out / "plots")
     for path in written:
         print(f"wrote {path}")
     return 0
@@ -142,10 +149,10 @@ def cmd_plot(args) -> int:
 def cmd_report(args) -> int:
     config = _gather_config(args)
     out = Path(config.out_dir)
-    text, csv_text = emit_summary_table(_load_rows(out))
+    text, csv_text = emit_summary_table(_load_groups(out))
     write_text(out / "summary.txt", text)
     write_text(out / "summary.csv", csv_text)
-    print(text, end="")
+    _print_utf8(text.encode("utf-8"))
     return 0
 
 

@@ -10,9 +10,12 @@ CSV bytes on the same platform.
 from __future__ import annotations
 
 import hashlib
+import os
 import time
+from contextlib import suppress
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -196,12 +199,13 @@ def dump_config(config: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def config_digest(config: ExperimentConfig) -> str:
+def config_digest(config: ExperimentConfig, manifest_bytes: bytes | None = None) -> str:
     """Hash over everything that shapes a single run's trajectory: the
     config, the data manifest's content (not its path) and the numeric
     core's version.  The sweep lists and output location are excluded so
     run ids stay stable across sweeps, output directories and copies of
-    a manifest; editing a manifest in place changes them."""
+    a manifest; editing a manifest in place changes them.
+    ``manifest_bytes`` are the manifest's bytes when already read."""
     skip = {"regimes", "lambdas", "seeds", "out_dir"}
     lines = []
     for f in dataclass_fields(config):
@@ -209,7 +213,7 @@ def config_digest(config: ExperimentConfig) -> str:
             continue
         value = getattr(config, f.name)
         if f.name == "data_manifest" and value:
-            value = "sha256:" + hashlib.sha256(_read_file(value, PrerequisiteError, "data manifest")).hexdigest()
+            value = "sha256:" + hashlib.sha256(manifest_bytes or _read_manifest(config)).hexdigest()
         lines.append(f"{f.name}={value}")
     lines.append(f"core_version={tensor.CORE_VERSION}")
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
@@ -224,15 +228,23 @@ def run_id(regime: str, lam: float, seed: int, digest: str) -> str:
 def _read_file(path, missing: type[EwcLabError], what: str) -> bytes:
     """The bytes of ``path``; a missing file raises ``missing`` naming it."""
     try:
-        return Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            return fh.read()
     except FileNotFoundError:
-        raise missing(f"no {what} at {str(path)!r}") from None
+        raise missing(f"no {what} at {os.fspath(path)!r}") from None
 
 
-def load_data(config: ExperimentConfig) -> tuple[SplitManifest, GeneratorConfig]:
+def _read_manifest(config: ExperimentConfig) -> bytes:
+    return _read_file(config.data_manifest, PrerequisiteError, "data manifest")
+
+
+def load_data(
+    config: ExperimentConfig, manifest_bytes: bytes | None = None
+) -> tuple[SplitManifest, GeneratorConfig]:
+    """The splits and generator settings: the data manifest's (its bytes
+    when ``manifest_bytes`` holds them already), or the config's own."""
     if config.data_manifest:
-        text = _read_file(config.data_manifest, PrerequisiteError, "data manifest").decode("utf-8")
-        return parse_manifest(text)
+        return parse_manifest((manifest_bytes or _read_manifest(config)).decode("utf-8"))
     counts = (config.train_a_count, config.train_b_count, config.val_count)
     return make_splits(counts, config.data_seed), GeneratorConfig(image_size=config.image_size)
 
@@ -242,8 +254,7 @@ def load_data(config: ExperimentConfig) -> tuple[SplitManifest, GeneratorConfig]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MetricRow:
+class MetricRow(NamedTuple):
     run_id: str
     regime: str
     lam: float
@@ -268,11 +279,15 @@ class MetricRow:
 
 @dataclass
 class RunRecord:
+    """One completed run: its rows, and ``lines``, the metrics.csv body
+    lines they were written as (or read from), which curves.csv joins."""
+
     run_id: str
     regime: str
     lam: float
     seed: int
     rows: list[MetricRow]
+    lines: list[str]
     checkpoint_final: str = ""
     splits_used: tuple[str, ...] = ()
     duration_s: float = 0.0
@@ -494,6 +509,7 @@ def train(
         lam=plan.lam,
         seed=plan.seed,
         rows=rows,
+        lines=[row.csv_line() for row in rows],
         checkpoint_final=str(ckpt_final),
         splits_used=tuple(sorted(data.accessed)),
         duration_s=time.monotonic() - t0,
@@ -528,13 +544,13 @@ def task_a_fisher(store: ParamStore, images: list[ScanSample], config: Experimen
 # ---------------------------------------------------------------------------
 
 
-def _csv_text(rows: list[MetricRow]) -> str:
-    return "\n".join([CSV_HEADER] + [r.csv_line() for r in rows]) + "\n"
+def _csv_text(lines: list[str]) -> str:
+    return "\n".join([CSV_HEADER, *lines]) + "\n"
 
 
 def _write_run_dir(record: RunRecord, losses: list[tuple], config: ExperimentConfig, run_dir: Path) -> None:
     write_text(run_dir / "config.txt", dump_config(config))
-    write_text(run_dir / "metrics.csv", _csv_text(record.rows))
+    write_text(run_dir / "metrics.csv", _csv_text(record.lines))
     loss_lines = [LOSS_HEADER]
     for epoch, loss, penalty in losses:
         loss_lines.append(f"{record.run_id},{epoch},{'' if loss is None else repr(loss)},{penalty!r}")
@@ -556,51 +572,58 @@ def _write_run_dir(record: RunRecord, losses: list[tuple], config: ExperimentCon
     write_text(run_dir / "done", "ok\n")
 
 
-def read_metric_rows(path: Path) -> list[MetricRow]:
-    """Rows of a metrics.csv or curves.csv.  A missing file, a wrong
-    header or a malformed row is a config error naming the file (and
-    line)."""
+def read_metric_rows(path) -> tuple[list[MetricRow], list[str]]:
+    """Rows of a metrics.csv or curves.csv, and the body lines they were
+    parsed from.  A missing file, a wrong header or a malformed row is a
+    config error naming the file (and line)."""
     lines = _read_file(path, ConfigError, "metric rows").decode("utf-8").splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"{path} does not carry the expected header")
+    del lines[0]
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         try:
             rows.append(MetricRow.from_csv_line(line))
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: malformed row {line!r} ({exc})") from None
-    return rows
+    return rows, lines
 
 
-def load_run_record(run_dir: str | Path) -> RunRecord:
-    """Rebuild a record from a completed run directory (idempotent skip).
-    The final checkpoint path is derived from ``run_dir``, so a moved
-    output directory still resolves it; unread record.txt keys are
-    ignored.  A missing file, a malformed line or a missing or
-    unparsable key is a config error naming the file (and line)."""
-    run_dir = Path(run_dir)
-    path = run_dir / "record.txt"
+def load_run_record(run_dir, run_id: str) -> RunRecord:
+    """Rebuild the record of run ``run_id`` from its completed directory
+    (idempotent skip).  The final checkpoint path is derived from
+    ``run_dir``, so a moved output directory still resolves it; unread
+    record.txt keys are ignored.  A missing file, a malformed line, a
+    missing or unparsable key, a record.txt of another run and a metrics
+    row of another run are config errors naming the file (and line)."""
+    run_dir = os.fspath(run_dir)
+    path = os.path.join(run_dir, "record.txt")
     fields_txt = {}
     lines = _read_file(path, ConfigError, "run record").decode("utf-8").splitlines()
     for lineno, line in enumerate(lines, start=1):
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"{path}:{lineno}: malformed line {line!r}")
+        if key == "run_id" and value != run_id:
+            raise ConfigError(f"{path}:{lineno}: names run {value}, not {run_id}")
         fields_txt[key] = value
-    rows = read_metric_rows(run_dir / "metrics.csv")
     try:
-        return RunRecord(
-            run_id=fields_txt["run_id"],
-            regime=fields_txt["regime"],
-            lam=float(fields_txt["lambda"]),
-            seed=int(fields_txt["seed"]),
-            rows=rows,
-            checkpoint_final=str(run_dir / "final.ckpt"),
-            splits_used=tuple(s for s in fields_txt["splits_used"].split(",") if s),
-            duration_s=float(fields_txt["duration_s"]),
-        )
+        ident = (fields_txt["run_id"], fields_txt["regime"], float(fields_txt["lambda"]), int(fields_txt["seed"]))
+        splits_used = tuple(s for s in fields_txt["splits_used"].split(",") if s)
+        duration_s = float(fields_txt["duration_s"])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path}: missing or malformed key ({exc})") from None
+    metrics_path = os.path.join(run_dir, "metrics.csv")
+    rows, lines = read_metric_rows(metrics_path)
+    for lineno, row in enumerate(rows, start=2):
+        if row[:4] != ident:
+            raise ConfigError(
+                f"{metrics_path}:{lineno}: row of run {row.run_id} ({row.regime} lambda={row.lam:g} "
+                f"seed={row.seed}) in the directory of run {ident[0]} ({ident[1]} "
+                f"lambda={ident[2]:g} seed={ident[3]})"
+            )
+    return RunRecord(*ident, rows, lines, checkpoint_final=os.path.join(run_dir, "final.ckpt"),
+                     splits_used=splits_used, duration_s=duration_s)
 
 
 # ---------------------------------------------------------------------------
@@ -627,12 +650,13 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
     sequential = any(REGIMES[k].sequential for k in requested)
     if sequential:
         requested.add("dm-a")  # the shared task-A run every sequential regime starts from
-    manifest, gen_config = load_data(config)
+    manifest_bytes = _read_manifest(config) if config.data_manifest else None
+    manifest, gen_config = load_data(config, manifest_bytes)
     out = Path(config.out_dir)
-    runs_dir = out / "runs"
-    runs_dir.mkdir(parents=True, exist_ok=True)
+    runs_dir = os.path.join(out, "runs")  # a plain string: a hit builds no Path
+    os.makedirs(runs_dir, exist_ok=True)
     write_text(out / "manifest.txt", manifest_text(manifest, gen_config))
-    digest = config_digest(config)
+    digest = config_digest(config, manifest_bytes)
     bank = SampleBank(manifest, gen_config)
     eval_sets: dict[str, list] = {}  # filled by the first run that trains
 
@@ -643,10 +667,10 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
     def ensure(kind: str, lam: float, seed: int, checkpoint_path: str | None,
                critical: bool) -> RunRecord | None:
         rid = run_id(kind, lam, seed, digest)
-        run_dir = runs_dir / rid
-        if (run_dir / "done").exists():
+        run_dir = os.path.join(runs_dir, rid)
+        if os.path.exists(os.path.join(run_dir, "done")):
             note(f"skip {kind} lambda={lam:g} seed={seed} ({rid}, already done)")
-            record = load_run_record(run_dir)
+            record = load_run_record(run_dir, rid)
             records.append(record)
             return record
         note(f"run {kind} lambda={lam:g} seed={seed} ({rid})")
@@ -686,12 +710,12 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
     if not failures:
         (out / "failures.txt").unlink(missing_ok=True)
 
-    all_rows = [row for record in records for row in record.rows]
-    write_text(out / "curves.csv", _csv_text(all_rows))
-    text, csv_text = emit_summary_table(all_rows)
+    write_text(out / "curves.csv", _csv_text([line for record in records for line in record.lines]))
+    groups = group_rows([row for record in records for row in record.rows])
+    text, csv_text = emit_summary_table(groups)
     write_text(out / "summary.txt", text)
     write_text(out / "summary.csv", csv_text)
-    emit_plots(all_rows, out / "plots")
+    emit_plots(groups, out / "plots")
     return records
 
 
@@ -704,30 +728,51 @@ def _method_label(regime: str, lam: float) -> str:
     return f"{r.label} λ={lam:g}" if r.penalty else r.label
 
 
-def emit_summary_table(rows: list[MetricRow]) -> tuple[str, str]:
+# (regime, lambda, task, class) -> (epoch -> patch-scope Dice values,
+# full-scope Dice values), each list in row order
+RowGroups = dict[tuple[str, float, str, str], tuple[dict[int, list[float]], list[float]]]
+
+
+def group_rows(rows: list[MetricRow]) -> RowGroups:
+    """The rows grouped once for the summary table and the plots; rows of
+    another scope are ignored."""
+    groups: RowGroups = {}
+    for _, regime, lam, _, epoch, scope, task, class_name, dice in rows:
+        key = (regime, lam, task, class_name)
+        cell = groups.get(key)
+        if cell is None:
+            cell = groups[key] = ({}, [])
+        if scope == "patch":
+            cell[0].setdefault(epoch, []).append(dice)
+        elif scope == "full":
+            cell[1].append(dice)
+    return groups
+
+
+def _lambdas(groups: RowGroups, scope: int) -> dict[str, list[float]]:
+    """regime -> its lambdas, ascending, that have rows of the scope
+    (0 patch, 1 full)."""
+    lams: dict[str, set[float]] = {}
+    for (regime, lam, _, _), cell in groups.items():
+        if cell[scope]:
+            lams.setdefault(regime, set()).add(lam)
+    return {regime: sorted(values) for regime, values in lams.items()}
+
+
+def emit_summary_table(groups: RowGroups) -> tuple[str, str]:
     """Final full-image DSC% per method (seed means), one row per
     regime (+lambda) in table order; '-' marks tasks the method never
     trained."""
-    cells: dict[tuple[str, float], dict[tuple[str, str], list[float]]] = {}
-    for r in rows:
-        if r.scope == "full":
-            cell = cells.setdefault((r.regime, r.lam), {})
-            cell.setdefault((r.task, r.class_name), []).append(r.dice)
-
-    order = []
-    for regime in REGIMES:
-        for key in sorted((k for k in cells if k[0] == regime), key=lambda k: k[1]):
-            order.append(key)
-
     headers = ["Method"] + [name.upper() for _, name in CLASS_ORDER]
     body = []
-    for regime, lam in order:
-        cell = cells[(regime, lam)]
-        row = [_method_label(regime, lam)]
-        for tc in CLASS_ORDER:
-            values = cell.get(tc)
-            row.append("-" if not values else f"{100.0 * sum(values) / len(values):.1f}")
-        body.append(row)
+    lams = _lambdas(groups, 1)
+    for regime in REGIMES:
+        for lam in lams.get(regime, ()):
+            row = [_method_label(regime, lam)]
+            for task, name in CLASS_ORDER:
+                values = groups.get((regime, lam, task, name), ((), ()))[1]
+                row.append("-" if not values else f"{100.0 * sum(values) / len(values):.1f}")
+            body.append(row)
 
     widths = [max(len(h), *(len(r[i]) for r in body)) if body else len(h) for i, h in enumerate(headers)]
     def fmt_row(row):
@@ -740,40 +785,35 @@ def emit_summary_table(rows: list[MetricRow]) -> tuple[str, str]:
     return text, csv_text
 
 
-def emit_plots(rows: list[MetricRow], plot_dir: str | Path) -> list[Path]:
+def emit_plots(groups: RowGroups, plot_dir: str | Path) -> list[Path]:
     """One SVG per regime of ``REGIMES`` (like the summary, rows of any
     other regime are ignored): panels per class in task order, one line
     per lambda (legend ascending), patch-scope DSC% against epoch.  The
     SVG of a regime without rows is removed; other files stay."""
     plot_dir = Path(plot_dir)
     plot_dir.mkdir(parents=True, exist_ok=True)
-    # regime -> (task, class) -> lambda -> epoch -> Dice values in row order
-    groups: dict[str, dict[tuple[str, str], dict[float, dict[int, list[float]]]]] = {}
-    for r in rows:
-        if r.scope == "patch":
-            by_lam = groups.setdefault(r.regime, {}).setdefault((r.task, r.class_name), {})
-            by_lam.setdefault(r.lam, {}).setdefault(r.epoch, []).append(r.dice)
-
     written = []
-    for regime in sorted(groups.keys() & REGIMES.keys()):
+    lams = _lambdas(groups, 0)
+    for regime in sorted(REGIMES):
         panels = []
-        for task_id, class_name in CLASS_ORDER:
-            by_lam = groups[regime].get((task_id, class_name))
-            if not by_lam:
-                continue
-            series = [
-                (f"λ={lam:g}",
-                 [(float(e), 100.0 * sum(v) / len(v)) for e, v in sorted(by_lam[lam].items())])
-                for lam in sorted(by_lam)
-            ]
-            panels.append((f"task {task_id.upper()}: {class_name}", series))
+        for task, name in CLASS_ORDER:
+            series = []
+            for lam in lams.get(regime, ()):
+                by_epoch = groups.get((regime, lam, task, name), ({}, ()))[0]
+                if by_epoch:
+                    points = [(float(e), 100.0 * sum(v) / len(v)) for e, v in sorted(by_epoch.items())]
+                    series.append((f"λ={lam:g}", points))
+            if series:
+                panels.append((f"task {task.upper()}: {name}", series))
         if not panels:
             continue
         svg = svgplot.line_chart_grid(REGIMES[regime].label, panels)
         path = plot_dir / f"{regime}.svg"
         write_text(path, svg)
         written.append(path)
+    names = {path.name for path in written}
     for regime in REGIMES:  # a plot of an earlier, wider sweep
-        if plot_dir / f"{regime}.svg" not in written:
-            (plot_dir / f"{regime}.svg").unlink(missing_ok=True)
+        if f"{regime}.svg" not in names:
+            with suppress(FileNotFoundError):
+                os.unlink(os.path.join(plot_dir, f"{regime}.svg"))
     return written

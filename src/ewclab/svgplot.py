@@ -44,14 +44,12 @@ def line_chart_grid(
 
     total_w = MARGIN_L + len(panels) * (PANEL_W + MARGIN_R)
     total_h = TITLE_H + PANEL_H + MARGIN_T + MARGIN_B + LEGEND_H
-
-    def sx(panel_idx: int, x: float) -> float:
-        left = MARGIN_L + panel_idx * (PANEL_W + MARGIN_R)
-        return left + (x - x_min) / (x_max - x_min) * PANEL_W
+    top = TITLE_H + MARGIN_T
+    x_span = x_max - x_min
+    y_span = y_max - y_min
 
     def sy(y: float) -> float:
-        top = TITLE_H + MARGIN_T
-        return top + (1.0 - (y - y_min) / (y_max - y_min)) * PANEL_H
+        return top + (1.0 - (y - y_min) / y_span) * PANEL_H
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{total_w}" height="{total_h}" '
@@ -59,13 +57,16 @@ def line_chart_grid(
         f'<text x="{total_w / 2:.1f}" y="18" text-anchor="middle" font-size="14">{title}</text>',
     ]
 
+    # the gridlines and tick labels of every panel, formatted once per chart;
+    # a panel's x coordinate is its left edge plus an offset
     x_tick_step = max(1, int(round((x_max - x_min) / 5)))
     x_ticks = [x_min + i * x_tick_step for i in range(int((x_max - x_min) / x_tick_step) + 1)]
+    x_grid = [((xt - x_min) / x_span * PANEL_W, f"{xt:g}") for xt in x_ticks]
     y_ticks = [y_min + i * (y_max - y_min) / 4 for i in range(5)]
+    y_grid = [(_fmt(sy(yt)), _fmt(sy(yt) + 3), f"{yt:g}") for yt in y_ticks]
 
     for p, (panel_title, series) in enumerate(panels):
         left = MARGIN_L + p * (PANEL_W + MARGIN_R)
-        top = TITLE_H + MARGIN_T
         parts.append(
             f'<rect x="{left}" y="{top}" width="{PANEL_W}" height="{PANEL_H}" '
             'fill="none" stroke="#888888" stroke-width="1"/>'
@@ -73,18 +74,16 @@ def line_chart_grid(
         parts.append(
             f'<text x="{left + PANEL_W / 2:.1f}" y="{top - 8}" text-anchor="middle">{panel_title}</text>'
         )
-        for yt in y_ticks:
+        for y, label_y, text in y_grid:
             parts.append(
-                f'<line x1="{left}" y1="{_fmt(sy(yt))}" x2="{left + PANEL_W}" y2="{_fmt(sy(yt))}" '
+                f'<line x1="{left}" y1="{y}" x2="{left + PANEL_W}" y2="{y}" '
                 'stroke="#dddddd" stroke-width="0.5"/>'
             )
             if p == 0:
-                parts.append(
-                    f'<text x="{left - 6}" y="{_fmt(sy(yt) + 3)}" text-anchor="end">{yt:g}</text>'
-                )
-        for xt in x_ticks:
+                parts.append(f'<text x="{left - 6}" y="{label_y}" text-anchor="end">{text}</text>')
+        for offset, text in x_grid:
             parts.append(
-                f'<text x="{_fmt(sx(p, xt))}" y="{top + PANEL_H + 14}" text-anchor="middle">{xt:g}</text>'
+                f'<text x="{left + offset:.2f}" y="{top + PANEL_H + 14}" text-anchor="middle">{text}</text>'
             )
         parts.append(
             f'<text x="{left + PANEL_W / 2:.1f}" y="{top + PANEL_H + 28}" text-anchor="middle">epoch</text>'
@@ -92,7 +91,11 @@ def line_chart_grid(
         for label, pts in series:
             if not pts:
                 continue
-            coords = " ".join(f"{_fmt(sx(p, x))},{_fmt(sy(y))}" for x, y in pts)
+            # the tick offset's and sy's arithmetic written out, operation for operation
+            coords = " ".join(
+                f"{left + (x - x_min) / x_span * PANEL_W:.2f},{top + (1.0 - (y - y_min) / y_span) * PANEL_H:.2f}"
+                for x, y in pts
+            )
             parts.append(
                 f'<polyline points="{coords}" fill="none" stroke="{color[label]}" stroke-width="1.5"/>'
             )

@@ -130,6 +130,21 @@ class TestExitCodes:
             (run_dir / "metrics.csv").write_text(metrics)
         assert run(sweep) == 0
 
+    def test_run_directory_of_another_run_exits_2(self, tmp_path, capsys):
+        sweep = ["run-experiment", "--regime", "finetune", "--out", str(tmp_path)] + TINY
+        assert run(sweep) == 0
+        curves = (tmp_path / "curves.csv").read_bytes()
+        finetune = next(line for line in curves.decode().splitlines() if ",finetune," in line)
+        finetune_dir = tmp_path / "runs" / finetune.split(",")[0]
+        dm_a_dir = next(d for d in (tmp_path / "runs").iterdir() if d != finetune_dir)
+        for name in ("record.txt", "metrics.csv"):
+            (finetune_dir / name).write_bytes((dm_a_dir / name).read_bytes())
+        capsys.readouterr()
+        assert run(sweep) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{finetune_dir / 'record.txt'}:1: names run" in err
+        assert (tmp_path / "curves.csv").read_bytes() == curves
+
     def test_ewc_on_checkpoint_without_task_a_exits_3(self, tmp_path, capsys):
         # a dm-b checkpoint lacks the task-A head; a multitask one has a
         # task-B head besides it
@@ -283,3 +298,19 @@ def test_artifacts_are_utf8_under_an_ascii_locale(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "L2 λ=0.5" in (tmp_path / "summary.txt").read_text(encoding="utf-8")
     assert "λ=0.5" in (tmp_path / "plots" / "l2.svg").read_text(encoding="utf-8")
+
+
+def test_cli_prints_utf8_under_an_ascii_locale(tmp_path):
+    # the summary's method labels hold 'λ', which the locale cannot encode
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "LC_ALL": "C",
+           "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    out = ["--out", str(tmp_path)] + TINY
+    summary = None
+    for argv in (["run-experiment", "--regime", "dm-a,l2", "--lambda", "0.5"] + out, ["report"] + out):
+        done = subprocess.run([sys.executable, "-m", "ewclab", *argv], env=env,
+                              capture_output=True, timeout=300)
+        assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+        summary = (tmp_path / "summary.txt").read_bytes()
+        assert "L2 λ=0.5".encode("utf-8") in summary
+        assert done.stdout.endswith(summary + (b"\n" if argv[0] == "run-experiment" else b""))

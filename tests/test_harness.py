@@ -8,7 +8,9 @@ default scale.
 
 from __future__ import annotations
 
+import hashlib
 import os
+import re
 import shutil
 
 import numpy as np
@@ -26,6 +28,7 @@ from ewclab.harness import (
     dump_config,
     emit_plots,
     emit_summary_table,
+    group_rows,
     load_data,
     load_run_record,
     parse_config,
@@ -328,6 +331,29 @@ class TestExperiment:
         assert sorted(p for p in out.rglob("*") if p.is_file()) == files
         assert {p: (p.read_bytes(), p.stat().st_mtime_ns, p.stat().st_ino) for p in files} == before
 
+    def test_rerun_formats_no_row(self, experiment, monkeypatch):
+        # a hit's curves.csv lines are its metrics.csv lines as read
+        out, config, records = experiment
+        curves = (out / "curves.csv").read_bytes()
+        calls = []
+        csv_line = MetricRow.csv_line
+        monkeypatch.setattr(MetricRow, "csv_line", lambda row: calls.append(row) or csv_line(row))
+        run_experiment(config)
+        assert calls == []
+        assert (out / "curves.csv").read_bytes() == curves
+
+    def test_curves_csv_joins_the_runs_metrics_lines_in_sweep_order(self, tmp_path):
+        config = tiny_config(tmp_path, regime="ewc,finetune,l2", **{"lambda": "2, 0.5"})
+        out = tmp_path / "exp"
+        for _ in ("fresh sweep", "all-hit re-run"):
+            records = run_experiment(config)
+            assert [(r.regime, r.lam) for r in records] == [
+                ("dm-a", 0.0), ("finetune", 0.0), ("l2", 2.0), ("l2", 0.5), ("ewc", 2.0), ("ewc", 0.5)
+            ]
+            bodies = [(out / "runs" / r.run_id / "metrics.csv").read_text().split("\n", 1)[1]
+                      for r in records]
+            assert (out / "curves.csv").read_text() == CSV_HEADER + "\n" + "".join(bodies)
+
     def test_extended_sweep_trains_only_the_new_lambda(self, tmp_path, trained):
         run_experiment(tiny_config(tmp_path / "grow", regime="l2", **{"lambda": "0.5"}))
         trained.clear()
@@ -359,7 +385,7 @@ class TestExperiment:
     def test_run_record_reload_matches(self, experiment):
         out, config, records = experiment
         for record in records:
-            reloaded = load_run_record(out / "runs" / record.run_id)
+            reloaded = load_run_record(out / "runs" / record.run_id, record.run_id)
             assert [r.csv_line() for r in reloaded.rows] == [r.csv_line() for r in record.rows]
             assert reloaded.splits_used == record.splits_used
             assert reloaded.checkpoint_final == record.checkpoint_final
@@ -372,7 +398,7 @@ class TestExperiment:
         shutil.copytree(out / "runs" / records[0].run_id, moved)
         with open(moved / "record.txt", "a") as fh:
             fh.write("checkpoint_epoch0=/gone/epoch0.ckpt\ncheckpoint_final=/gone/final.ckpt\n")
-        reloaded = load_run_record(moved)
+        reloaded = load_run_record(moved, records[0].run_id)
         assert reloaded.checkpoint_final == str(moved / "final.ckpt")
 
     def test_metrics_csv_rows_in_evaluation_order(self, experiment):
@@ -397,7 +423,21 @@ class TestExperiment:
         lines[3] += ",extra"
         (copy / "metrics.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError, match=r"metrics\.csv:4"):
-            load_run_record(copy)
+            load_run_record(copy, records[0].run_id)
+
+    def test_metrics_row_of_another_run_is_a_config_error(self, experiment, tmp_path):
+        out, config, records = experiment
+        copy = tmp_path / "copy"
+        shutil.copytree(out / "runs" / records[0].run_id, copy)
+        lines = (copy / "metrics.csv").read_text().splitlines()
+        for column, value in ((0, "0123456789ab"), (1, "dm-b"), (2, "1"), (3, "2")):
+            edited = list(lines)
+            fields = edited[3].split(",")
+            fields[column] = value
+            edited[3] = ",".join(fields)
+            (copy / "metrics.csv").write_text("\n".join(edited) + "\n")
+            with pytest.raises(ConfigError, match=r"metrics\.csv:4: row of run .* in the directory of run"):
+                load_run_record(copy, records[0].run_id)
 
     @pytest.mark.parametrize("damage,match", [
         (lambda d: (d / "record.txt").write_text("run_id\n"), r"record\.txt:1"),
@@ -412,7 +452,7 @@ class TestExperiment:
         shutil.copytree(out / "runs" / records[0].run_id, copy)
         damage(copy)
         with pytest.raises(ConfigError, match=match):
-            load_run_record(copy)
+            load_run_record(copy, records[0].run_id)
 
     def test_epoch0_task_a_curve_matches_dm_a_final_eval(self, experiment):
         out, config, records = experiment
@@ -518,6 +558,24 @@ class TestRunStore:
         assert (out / "curves.csv").read_bytes() == curves
         assert list(out.rglob("*.tmp")) == []
 
+    def test_a_run_directory_holding_another_run_is_a_config_error(self, tmp_path):
+        # dm-a's record and rows copied into the finetune run's directory,
+        # which keeps its 'done'
+        config = tiny_config(tmp_path, regime="finetune")
+        dm_a, finetune = (r.run_id for r in run_experiment(config))
+        runs = tmp_path / "exp" / "runs"
+        record = (runs / finetune / "record.txt").read_bytes()
+        for name in ("record.txt", "metrics.csv"):
+            shutil.copy(runs / dm_a / name, runs / finetune / name)
+        where = re.escape(str(runs / finetune / "record.txt"))
+        with pytest.raises(ConfigError, match=rf"{where}:1: names run {dm_a}, not {finetune}"):
+            run_experiment(config)
+        # its own record over dm-a's rows
+        (runs / finetune / "record.txt").write_bytes(record)
+        where = re.escape(str(runs / finetune / "metrics.csv"))
+        with pytest.raises(ConfigError, match=rf"{where}:2: row of run {dm_a} \(dm-a "):
+            run_experiment(config)
+
     def test_rerun_removes_a_stray_tmp_and_restores_an_edited_report(self, tmp_path):
         config = tiny_config(tmp_path)
         run_experiment(config)
@@ -538,11 +596,10 @@ class TestRunStore:
         config = tiny_config(tmp_path)
         run_experiment(config)
         out = tmp_path / "exp"
-        curves = (out / "curves.csv").read_bytes()
-        # a changed row makes run_experiment write curves.csv, whose
-        # replacement fails after the temporary file is written
-        csv_line = MetricRow.csv_line
-        monkeypatch.setattr(MetricRow, "csv_line", lambda row: csv_line(row) + "0")
+        # an edited curves.csv makes run_experiment write it again, and
+        # the replacement fails after the temporary file is written
+        curves = (out / "curves.csv").read_bytes().replace(b",dm-a,", b",dm-b,")
+        (out / "curves.csv").write_bytes(curves)
 
         def failing_replace(src, dst):
             raise OSError(f"cannot replace {dst}")
@@ -560,8 +617,8 @@ class TestRunStore:
         curves = (out / "curves.csv").read_bytes()
         # an unencodable character makes the curves.csv write raise at
         # the UTF-8 encode step, before any file is opened
-        csv_line = MetricRow.csv_line
-        monkeypatch.setattr(MetricRow, "csv_line", lambda row: csv_line(row) + "\udc80")
+        csv_text = harness._csv_text
+        monkeypatch.setattr(harness, "_csv_text", lambda lines: csv_text(lines) + "\udc80")
         with pytest.raises(UnicodeEncodeError):
             run_experiment(config)
         assert (out / "curves.csv").read_bytes() == curves
@@ -602,7 +659,7 @@ class TestReporting:
     def test_summary_values_match_record_finals(self, tmp_path):
         config = tiny_config(tmp_path)
         records = run_experiment(config)
-        text, csv_text = emit_summary_table(records[0].rows)
+        text, csv_text = emit_summary_table(group_rows(records[0].rows))
         record = records[0]
         row = csv_text.splitlines()[1].split(",")
         finals = record.final_dice()
@@ -614,11 +671,28 @@ class TestReporting:
         config = tiny_config(tmp_path)
         records = run_experiment(config)
         rows = [r for record in records for r in record.rows]
-        a = emit_plots(rows, tmp_path / "p1")
-        b = emit_plots(rows, tmp_path / "p2")
+        a = emit_plots(group_rows(rows), tmp_path / "p1")
+        b = emit_plots(group_rows(rows), tmp_path / "p2")
         assert [p.name for p in a] == [p.name for p in b]
         for pa, pb in zip(a, b):
             assert pa.read_bytes() == pb.read_bytes()
+
+    def test_chart_bytes_are_pinned(self, tmp_path):
+        # three lambdas, two seeds, 13 epochs, every class; the digest
+        # pins the chart's bytes
+        rows = []
+        for lam in (30.0, 0.1, 3.0):
+            for seed in (1, 2):
+                for epoch in range(13):
+                    for i, (task, name) in enumerate(harness.CLASS_ORDER):
+                        dice = ((epoch * 7 + seed * 3 + i * 5 + int(lam * 10)) % 17) / 17.0
+                        rows.append(MetricRow(f"l2-{lam:g}-{seed}", "l2", lam, seed, epoch, "patch",
+                                              task, name, dice))
+        [path] = emit_plots(group_rows(rows), tmp_path / "plots")
+        assert path.name == "l2.svg"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "ea1c4b1bbc32df7b68694f4aee736d94e78055dfb989076262570e3631d18673"
+        )
 
     def test_plots_match_the_nested_loop_grouping(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -636,7 +710,7 @@ class TestReporting:
                                                   task_id, class_name, float(rng.random())))
                 rows.append(MetricRow(rid, kind, lam, seed, 3, "full", task_ids[0], "x", 0.5))
         rows = [rows[i] for i in rng.permutation(len(rows))]
-        written = emit_plots(rows, tmp_path / "plots")
+        written = emit_plots(group_rows(rows), tmp_path / "plots")
         nested_loop_plots(rows, tmp_path / "reference")
         assert sorted(p.name for p in (tmp_path / "reference").iterdir()) == sorted(p.name for p in written)
         for path in written:
@@ -646,7 +720,7 @@ class TestReporting:
         config = tiny_config(tmp_path)
         records = run_experiment(config)
         rows = [r for record in records for r in record.rows]
-        paths = emit_plots(rows, tmp_path / "plots")
+        paths = emit_plots(group_rows(rows), tmp_path / "plots")
         svg = paths[0].read_text()
         first = svg.split('<polyline points="')[1].split('"')[0]
         assert len(first.split(" ")) == config.epochs + 1  # epoch 0 included
