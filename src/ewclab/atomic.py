@@ -1,4 +1,5 @@
-"""Atomic file replacement for the checkpoints, run files and reports.
+"""Whole-file reads, and atomic replacement for the checkpoints, run
+files and reports.
 
 Bytes go to a temporary file beside the target, which then replaces the
 target in one ``os.replace``.  A write that fails or is interrupted
@@ -11,6 +12,17 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager, suppress
+
+from .errors import EwcLabError
+
+
+def read_file(path, missing: type[EwcLabError], what: str) -> bytes:
+    """The bytes of ``path``; a missing file raises ``missing`` naming it."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise missing(f"no {what} at {os.fspath(path)!r}") from None
 
 
 @contextmanager

@@ -16,7 +16,6 @@ from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 from . import harness, metrics, network
-from .atomic import write_text
 from .continual import REGIMES, build_regime, canonical_regime, load_task_a_checkpoint
 from .errors import ConfigError, DivergenceError, EwcLabError, PrerequisiteError
 from .harness import (
@@ -24,7 +23,6 @@ from .harness import (
     _ATTR_TO_KEY,
     config_digest,
     emit_plots,
-    emit_summary_table,
     load_data,
     parse_config,
     run_id,
@@ -88,11 +86,10 @@ def cmd_train(args) -> int:
     kind = canonical_regime(config.regimes[0])
     lam = config.grid_for(kind)[0] if REGIMES[kind].penalty else 0.0
     seed = config.seeds[0]
-    manifest, gen_config = load_data(config)
-    bank = SampleBank(manifest, gen_config)
+    data = load_data(config)
     plan = build_regime(kind, lam, seed, config.checkpoint or None, trunk=tuple(config.trunk))
-    rid = run_id(kind, lam, seed, config_digest(config))
-    record = harness.train(plan, config, bank, Path(config.out_dir) / "runs" / rid)
+    rid = run_id(kind, lam, seed, config_digest(config, data))
+    record = harness.train(plan, config, SampleBank(*data), Path(config.out_dir) / "runs" / rid)
     print(f"run {record.run_id} done in {record.duration_s:.1f}s; outputs under "
           f"{Path(config.out_dir) / 'runs' / rid}")
     for (task, class_name), value in sorted(record.final_dice().items()):
@@ -149,9 +146,7 @@ def cmd_plot(args) -> int:
 def cmd_report(args) -> int:
     config = _gather_config(args)
     out = Path(config.out_dir)
-    text, csv_text = emit_summary_table(_load_groups(out))
-    write_text(out / "summary.txt", text)
-    write_text(out / "summary.csv", csv_text)
+    text = harness.write_summary(_load_groups(out), out)
     _print_utf8(text.encode("utf-8"))
     return 0
 

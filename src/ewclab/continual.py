@@ -18,7 +18,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from . import network
-from .errors import AlignmentError, ContractError, DataError, PrerequisiteError
+from .errors import ContractError, DataError, PrerequisiteError
 from .network import FisherDiagonal, FisherProvenance, NetworkSpec, ParamStore, attach_head, init_network
 from .synthtasks import TASK_A, TASKS
 from .tensor import Graph, Tensor, backward, log_softmax, nll_loss, reshape
@@ -112,30 +112,16 @@ def ewc_penalty(
     head) contribute nothing and receive an exactly-zero gradient.
 
     The gradient w.r.t. theta is exactly 2 * lam * F * (theta - anchor).
+    ``fisher`` and ``leaves`` hold an entry of the anchor's shape for each
+    anchor entry, as the task-A checkpoint's layout check at load ensures.
     """
-    importance = fisher.importance
-    if len(importance) != len(anchor):
-        raise AlignmentError(
-            f"fisher and anchor entries differ in length ({len(importance)} != {len(anchor)})"
-        )
     lam = float(lam)
-
-    anchored: list[tuple[Tensor, Array, Array]] = []
+    importance = fisher.importance
+    anchored = [(leaves[name], a, importance[name]) for name, a in anchor.items()]
     total = 0.0
-    for name, a in anchor.items():
-        f = importance.get(name)
-        if f is None or f.shape != a.shape:
-            raise AlignmentError(f"fisher/anchor entry mismatch at {name!r}")
-        leaf = leaves.get(name)
-        if leaf is None:
-            raise AlignmentError(f"anchored entry {name!r} missing from parameters")
-        if leaf.shape != a.shape:
-            raise AlignmentError(
-                f"anchored entry {name!r} shape {leaf.shape} != anchor shape {a.shape}"
-            )
+    for leaf, a, f in anchored:
         diff = leaf.values - a
         total += lam * float((f * diff * diff).sum())
-        anchored.append((leaf, a, f))
 
     def vjp(g: Array) -> tuple[Array, ...]:
         return tuple(g * 2.0 * lam * f * (leaf.values - a) for leaf, a, f in anchored)

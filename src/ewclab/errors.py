@@ -28,8 +28,7 @@ class HeadError(EwcLabError):
 
 
 class AlignmentError(EwcLabError):
-    """Parameters, anchor and Fisher importances disagree on entry names or
-    shapes, or an importance is negative or non-finite."""
+    """A Fisher importance is negative or non-finite."""
 
 
 class DataError(EwcLabError):

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import metrics, network, svgplot, tensor
-from .atomic import write_text
+from .atomic import read_file, write_text
 from .continual import (
     REGIMES,
     RegimePlan,
@@ -30,7 +30,7 @@ from .continual import (
     estimate_fisher,
     ewc_penalty,
 )
-from .errors import ConfigError, ContractError, DivergenceError, EwcLabError, PrerequisiteError
+from .errors import ConfigError, ContractError, DivergenceError, PrerequisiteError
 from .network import FisherDiagonal, ParamStore, leaf_tensors, output_margin, sgd_update
 from .synthtasks import (
     TASKS,
@@ -171,7 +171,7 @@ def parse_config(path: str | Path | None = None, overrides: dict[str, str] | Non
         values[attr] = _parse_value(attr, raw, attrs[attr])
 
     if path is not None:
-        text = _read_file(path, ConfigError, "config file").decode("utf-8")
+        text = read_file(path, ConfigError, "config file").decode("utf-8")
         for lineno, line in enumerate(text.splitlines(), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -199,13 +199,13 @@ def dump_config(config: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def config_digest(config: ExperimentConfig, manifest_bytes: bytes | None = None) -> str:
+def config_digest(config: ExperimentConfig, data: tuple[SplitManifest, GeneratorConfig]) -> str:
     """Hash over everything that shapes a single run's trajectory: the
-    config, the data manifest's content (not its path) and the numeric
-    core's version.  The sweep lists and output location are excluded so
-    run ids stay stable across sweeps, output directories and copies of
-    a manifest; editing a manifest in place changes them.
-    ``manifest_bytes`` are the manifest's bytes when already read."""
+    config, the content of a data manifest (``data``, as :func:`load_data`
+    parsed it; not its path) and the numeric core's version.  The sweep
+    lists and output location are excluded so run ids stay stable across
+    sweeps, output directories and copies of a manifest; editing its data
+    in place changes them, editing its comments does not."""
     skip = {"regimes", "lambdas", "seeds", "out_dir"}
     lines = []
     for f in dataclass_fields(config):
@@ -213,7 +213,7 @@ def config_digest(config: ExperimentConfig, manifest_bytes: bytes | None = None)
             continue
         value = getattr(config, f.name)
         if f.name == "data_manifest" and value:
-            value = "sha256:" + hashlib.sha256(manifest_bytes or _read_manifest(config)).hexdigest()
+            value = "sha256:" + hashlib.sha256(manifest_text(*data).encode()).hexdigest()
         lines.append(f"{f.name}={value}")
     lines.append(f"core_version={tensor.CORE_VERSION}")
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
@@ -225,28 +225,19 @@ def run_id(regime: str, lam: float, seed: int, digest: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def _read_file(path, missing: type[EwcLabError], what: str) -> bytes:
-    """The bytes of ``path``; a missing file raises ``missing`` naming it."""
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except FileNotFoundError:
-        raise missing(f"no {what} at {os.fspath(path)!r}") from None
-
-
-def _read_manifest(config: ExperimentConfig) -> bytes:
-    return _read_file(config.data_manifest, PrerequisiteError, "data manifest")
-
-
-def load_data(
-    config: ExperimentConfig, manifest_bytes: bytes | None = None
-) -> tuple[SplitManifest, GeneratorConfig]:
-    """The splits and generator settings: the data manifest's (its bytes
-    when ``manifest_bytes`` holds them already), or the config's own."""
+def load_data(config: ExperimentConfig) -> tuple[SplitManifest, GeneratorConfig]:
+    """The splits and generator settings, with the generator settings
+    validated: the data manifest's, or the config's own.  The one reader
+    of the manifest; a command calls it once and passes its result on."""
     if config.data_manifest:
-        return parse_manifest((manifest_bytes or _read_manifest(config)).decode("utf-8"))
-    counts = (config.train_a_count, config.train_b_count, config.val_count)
-    return make_splits(counts, config.data_seed), GeneratorConfig(image_size=config.image_size)
+        text = read_file(config.data_manifest, PrerequisiteError, "data manifest").decode("utf-8")
+        manifest, gen_config = parse_manifest(text)
+    else:
+        counts = (config.train_a_count, config.train_b_count, config.val_count)
+        manifest = make_splits(counts, config.data_seed)
+        gen_config = GeneratorConfig(image_size=config.image_size)
+    gen_config.validate()
+    return manifest, gen_config
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +411,7 @@ def train(
     checkpoints at epoch 0 and the final epoch."""
     t0 = time.monotonic()
     config.validate()
-    rid = run_id(plan.kind, plan.lam, plan.seed, config_digest(config))
+    rid = run_id(plan.kind, plan.lam, plan.seed, config_digest(config, (bank.manifest, bank.config)))
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     data = PlanData(bank, plan.input_splits, plan.kind)
@@ -576,7 +567,7 @@ def read_metric_rows(path) -> tuple[list[MetricRow], list[str]]:
     """Rows of a metrics.csv or curves.csv, and the body lines they were
     parsed from.  A missing file, a wrong header or a malformed row is a
     config error naming the file (and line)."""
-    lines = _read_file(path, ConfigError, "metric rows").decode("utf-8").splitlines()
+    lines = read_file(path, ConfigError, "metric rows").decode("utf-8").splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"{path} does not carry the expected header")
     del lines[0]
@@ -599,7 +590,7 @@ def load_run_record(run_dir, run_id: str) -> RunRecord:
     run_dir = os.fspath(run_dir)
     path = os.path.join(run_dir, "record.txt")
     fields_txt = {}
-    lines = _read_file(path, ConfigError, "run record").decode("utf-8").splitlines()
+    lines = read_file(path, ConfigError, "run record").decode("utf-8").splitlines()
     for lineno, line in enumerate(lines, start=1):
         key, sep, value = line.partition("=")
         if not sep:
@@ -650,14 +641,13 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
     sequential = any(REGIMES[k].sequential for k in requested)
     if sequential:
         requested.add("dm-a")  # the shared task-A run every sequential regime starts from
-    manifest_bytes = _read_manifest(config) if config.data_manifest else None
-    manifest, gen_config = load_data(config, manifest_bytes)
+    data = load_data(config)
     out = Path(config.out_dir)
     runs_dir = os.path.join(out, "runs")  # a plain string: a hit builds no Path
     os.makedirs(runs_dir, exist_ok=True)
-    write_text(out / "manifest.txt", manifest_text(manifest, gen_config))
-    digest = config_digest(config, manifest_bytes)
-    bank = SampleBank(manifest, gen_config)
+    write_text(out / "manifest.txt", manifest_text(*data))
+    digest = config_digest(config, data)
+    bank = SampleBank(*data)
     eval_sets: dict[str, list] = {}  # filled by the first run that trains
 
     records: list[RunRecord] = []
@@ -712,9 +702,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
 
     write_text(out / "curves.csv", _csv_text([line for record in records for line in record.lines]))
     groups = group_rows([row for record in records for row in record.rows])
-    text, csv_text = emit_summary_table(groups)
-    write_text(out / "summary.txt", text)
-    write_text(out / "summary.csv", csv_text)
+    write_summary(groups, out)
     emit_plots(groups, out / "plots")
     return records
 
@@ -783,6 +771,15 @@ def emit_summary_table(groups: RowGroups) -> tuple[str, str]:
     text = "\n".join(text_lines) + "\n"
     csv_text = "\n".join([",".join(headers).lower()] + [",".join(row) for row in body]) + "\n"
     return text, csv_text
+
+
+def write_summary(groups: RowGroups, out_dir: Path) -> str:
+    """Write the summary table as summary.txt and summary.csv under
+    ``out_dir``; returns the text table."""
+    text, csv_text = emit_summary_table(groups)
+    write_text(out_dir / "summary.txt", text)
+    write_text(out_dir / "summary.csv", csv_text)
+    return text
 
 
 def emit_plots(groups: RowGroups, plot_dir: str | Path) -> list[Path]:

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError
-from .network import ParamStore, forward_heads, forward_pass, output_margin
+from .network import ParamStore, forward_heads, output_margin
 from .synthtasks import TaskDef
 
 Array = np.ndarray
@@ -34,11 +34,6 @@ def dice(pred: Array, truth: Array, class_id: int) -> float | None:
     if denom == 0:
         return None
     return 2.0 * int(np.count_nonzero(p & t)) / denom
-
-
-def predict_patch(store: ParamStore, head: str, patch: Array) -> Array:
-    """Argmax-over-logits label map for one patch."""
-    return forward_pass(store, patch, head).argmax(axis=0)
 
 
 def predict_full(store: ParamStore, head: str, channels: Array, tile: int = 0) -> Array:
@@ -165,5 +160,5 @@ def evaluate_model(
         raise DimensionError(f"unknown scope {scope!r}")
     if scope == "full":
         return evaluate_full(store, [replace(task, head=head)], samples, tile)[task.task_id]
-    pairs = ((predict_patch(store, head, patch), truth) for patch, truth in samples)
+    pairs = ((forward_heads(store, patch, (head,))[0].argmax(axis=0), truth) for patch, truth in samples)
     return _class_scores(task, pooled_dice(pairs, task.n_classes))

@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, read_file
 from .errors import AlignmentError, DimensionError, FormatError, HeadError, PrerequisiteError
 from .tensor import Graph, GradientMap, Tensor, conv2d, conv_forward, relu
 
@@ -244,12 +244,6 @@ def forward_heads(store: ParamStore, patch: Array, heads: Sequence[str]) -> list
     return [conv_forward(x, store[f"head.{h}.weights"], store[f"head.{h}.bias"])[0] for h in heads]
 
 
-def forward_pass(store: ParamStore, patch: Array, head: str) -> Array:
-    """Per-pixel logits [classes, H', W'] of one head for one patch: the
-    one-head case of :func:`forward_heads`."""
-    return forward_heads(store, patch, (head,))[0]
-
-
 # ---------------------------------------------------------------------------
 # checkpoint format
 # ---------------------------------------------------------------------------
@@ -357,7 +351,7 @@ def _read_entry(r: _Reader) -> tuple[str, Array]:
     name = r.take(name_len, "entry name").decode("utf-8")
     rank = r.u8(f"rank of {name!r}")
     dims = tuple(r.u32(f"dim {i} of {name!r}") for i in range(rank))
-    count = int(np.prod(dims, dtype=np.int64)) if dims else 1
+    count = math.prod(dims)  # a Python int: a huge count cannot wrap, so it reads as truncation
     payload = r.take(count * 8, f"payload of {name!r}")
     return name, np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
 
@@ -394,17 +388,26 @@ def _header_value(header: dict[str, str], key: str, parse, default: str | None =
         raise FormatError(f"unparsable header value {key}={text!r}") from None
 
 
+def _check_layout(store: ParamStore, expected: Mapping[str, tuple[int, ...]], where: str, against: str) -> None:
+    """A :class:`FormatError` naming the first entry whose name or shape in
+    ``store`` (read from ``where``) differs from ``expected``."""
+    found = {name: values.shape for name, values in store.items()}
+    if found != expected:
+        name = next(n for n in {**found, **expected} if found.get(n) != expected.get(n))
+        raise FormatError(
+            f"entry {name!r}: {found.get(name, 'missing')} in {where}, "
+            f"{expected.get(name, 'none')} in {against}"
+        )
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; a missing file raises :class:`PrerequisiteError`,
     and bad magic, version, header values, entries other than those the
-    header's network spec implies, or truncation raise
+    header's network spec implies, a Fisher payload whose entries are not
+    the parameters' names and shapes, or truncation raise
     :class:`FormatError` (with the failing byte offset where there is
     one)."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except FileNotFoundError:
-        raise PrerequisiteError(f"no checkpoint at {str(path)!r}") from None
+    data = read_file(path, PrerequisiteError, "checkpoint")
     r = _Reader(data)
     magic = r.take(4, "magic")
     if magic != CHECKPOINT_MAGIC:
@@ -422,14 +425,8 @@ def load_checkpoint(path) -> Checkpoint:
     store = ParamStore(spec=spec)
     for _ in range(_header_value(header, "entries", int)):
         store.add(*_read_entry(r))
-    found = {name: values.shape for name, values in store.items()}
-    implied = entry_shapes(spec)
-    if found != implied:
-        name = next(n for n in {**found, **implied} if found.get(n) != implied.get(n))
-        raise FormatError(
-            f"entry {name!r}: {found.get(name, 'missing')} in the file, "
-            f"{implied.get(name, 'none')} in the header's network spec"
-        )
+    shapes = entry_shapes(spec)
+    _check_layout(store, shapes, "the file", "the header's network spec")
 
     fisher = None
     if "fisher_entries" in header:
@@ -451,6 +448,7 @@ def load_checkpoint(path) -> Checkpoint:
         importance = ParamStore()
         for _ in range(count):
             importance.add(*_read_entry(r))
+        _check_layout(importance, shapes, "the Fisher payload", "the parameters")
         fisher = FisherDiagonal(importance, provenance)
     if r.pos != len(data):
         raise FormatError(f"{len(data) - r.pos} trailing bytes", offset=r.pos)

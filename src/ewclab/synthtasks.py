@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 import numpy as np
 
-from .atomic import write_text
+from .atomic import atomic_open, write_text
 from .errors import ConfigError, DataError, DegenerateInputError, FormatError
 
 Array = np.ndarray
@@ -123,8 +123,8 @@ def zscore_normalize(channel: Array) -> Array:
 
 
 def generate_sample(seed: int, config: GeneratorConfig) -> ScanSample:
-    """Deterministic phantom for (seed, config)."""
-    config.validate()
+    """Deterministic phantom for (seed, config); ``config`` has passed
+    :meth:`GeneratorConfig.validate`."""
     rng = np.random.default_rng(seed)
     size = config.image_size
     half = size / 2.0
@@ -292,26 +292,24 @@ LABEL_COLORS_A = np.array([[0, 0, 0], [60, 120, 216], [120, 200, 120], [240, 240
 LABEL_COLORS_B = np.array([[0, 0, 0], [230, 60, 60]], dtype=np.uint8)
 
 
+def _write_netpbm(path: str, magic: str, pixels: Array) -> None:
+    h, w = pixels.shape[:2]
+    with atomic_open(path) as fh:
+        fh.write(f"{magic}\n{w} {h}\n255\n".encode())
+        fh.write(pixels.tobytes())
+
+
 def export_images(sample: ScanSample, base_path) -> None:
-    """PGM per channel (min-max scaled) and PPM per label map."""
+    """PGM per channel (min-max scaled) and PPM per label map, each
+    written atomically."""
     base = str(base_path)
     for c in range(sample.channels.shape[0]):
         ch = sample.channels[c]
         lo, hi = ch.min(), ch.max()
         gray = np.zeros_like(ch, dtype=np.uint8) if hi == lo else np.round((ch - lo) / (hi - lo) * 255).astype(np.uint8)
-        h, w = gray.shape
-        with open(f"{base}_ch{c}.pgm", "wb") as fh:
-            fh.write(f"P5\n{w} {h}\n255\n".encode())
-            fh.write(gray.tobytes())
-    for name, labels, colors in (
-        ("labels_a", sample.labels_a, LABEL_COLORS_A),
-        ("labels_b", sample.labels_b, LABEL_COLORS_B),
-    ):
-        rgb = colors[labels]
-        h, w, _ = rgb.shape
-        with open(f"{base}_{name}.ppm", "wb") as fh:
-            fh.write(f"P6\n{w} {h}\n255\n".encode())
-            fh.write(rgb.tobytes())
+        _write_netpbm(f"{base}_ch{c}.pgm", "P5", gray)
+    _write_netpbm(f"{base}_labels_a.ppm", "P6", LABEL_COLORS_A[sample.labels_a])
+    _write_netpbm(f"{base}_labels_b.ppm", "P6", LABEL_COLORS_B[sample.labels_b])
 
 
 class SampleBank:

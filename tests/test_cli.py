@@ -7,11 +7,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ewclab.cli import main
 from ewclab.harness import CSV_HEADER
-from ewclab.network import NetworkSpec, ParamStore, init_network, load_checkpoint, save_checkpoint
+from ewclab.network import (
+    FisherDiagonal,
+    FisherProvenance,
+    NetworkSpec,
+    ParamStore,
+    init_network,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 TINY = [
     "--seeds", "1", "--epochs", "2", "--image-size", "32",
@@ -169,6 +178,36 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "trunk.2.kernels" in err
 
+    def test_fisher_payload_unlike_the_parameters_exits_1_before_any_run(self, tmp_path, capsys):
+        # a task-A checkpoint whose Fisher payload lacks one entry
+        ckpt = tmp_path / "a.ckpt"
+        store = init_network(NetworkSpec(in_channels=2, trunk=(6, 6), heads={"taskA": 4}), seed=1)
+        ones = {name: np.ones(values.shape) for name, values in store.items() if name != "trunk.1.bias"}
+        fisher = FisherDiagonal(ParamStore(ones), FisherProvenance("train_a", "taskA", "empirical", 8))
+        save_checkpoint(store, ckpt, fisher=fisher)
+        code = run(["train", "--regime", "ewc", "--lambda", "1", "--checkpoint", str(ckpt),
+                    "--out", str(tmp_path)] + TINY)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'trunk.1.bias'" in err and "Fisher payload" in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_invalid_generator_settings_exit_2_before_any_run(self, tmp_path, capsys):
+        # a manifest (with a matching config_hash) whose tissue rings are
+        # not nested is rejected where it is read
+        assert run(["generate-data", "--out", str(tmp_path)] + TINY) == 0
+        manifest = tmp_path / "data" / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        lines = [("generator.wm_radius=0.6,0.7" if line.startswith("generator.wm_radius=") else line)
+                 for line in lines if not line.startswith("config_hash=")]
+        manifest.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run(["train", "--regime", "dm-a", "--data-manifest", str(manifest),
+                    "--out", str(tmp_path / "exp")] + TINY)
+        assert code == 2
+        assert "nested" in capsys.readouterr().err
+        assert not (tmp_path / "exp" / "runs").exists()
+
     @pytest.mark.parametrize("command", [
         ["fisher"], ["evaluate"], ["train", "--regime", "finetune"],
     ], ids=["fisher", "evaluate", "train"])
@@ -262,6 +301,25 @@ class TestCommands:
                     "--out", str(tmp_path / "diverge")] + TINY + more_steps)
         assert code == 4
         assert "diverged" in capsys.readouterr().err
+
+    def test_each_command_reads_the_data_manifest_once(self, tmp_path, monkeypatch):
+        assert run(["generate-data", "--out", str(tmp_path)] + TINY) == 0
+        manifest = str(tmp_path / "data" / "manifest.txt")
+        reads = []
+        real_open = open
+
+        def counted_open(file, *args, **kwargs):
+            reads.append(str(file) == manifest)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counted_open)
+        data = ["--data-manifest", manifest, "--out", str(tmp_path / "exp")] + TINY
+        sweep = ["run-experiment", "--regime", "dm-a,finetune,l2", "--lambda", "0.1,0.3"] + data
+        # a fresh 4-run sweep, its all-hit re-run, then one run
+        for argv in (sweep, sweep, ["train", "--regime", "dm-b"] + data):
+            reads.clear()
+            assert run(argv) == 0
+            assert sum(reads) == 1, argv
 
     def test_seed_flag_sets_single_seed(self, tmp_path):
         out = str(tmp_path)

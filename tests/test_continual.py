@@ -15,9 +15,9 @@ from ewclab.continual import (
     score_samples,
 )
 from ewclab.errors import (
-    AlignmentError,
     ContractError,
     DataError,
+    FormatError,
     HeadError,
     PrerequisiteError,
 )
@@ -222,19 +222,26 @@ class TestPenalty:
         assert np.all(grads["head.taskB.weights"] == 0.0)
         assert np.all(grads["head.taskB.bias"] == 0.0)
 
-    def test_fisher_and_anchor_tables_must_match(self):
+    # The penalty's anchor and importances come from one task-A
+    # checkpoint, whose Fisher payload must hold the parameters' entries:
+    # a payload that does not is rejected at load, before any plan exists.
+
+    def test_fisher_and_anchor_tables_must_match(self, tmp_path):
         store = tiny_net(seed=6)
         grown = attach_head(store, "taskB", 2, seed=1)
-        with pytest.raises(AlignmentError, match="differ in length"):
-            ewc_penalty(leaves_of(grown), copy_of(store), FisherDiagonal.ones_like(grown), lam=1.0)
+        path = tmp_path / "dm_a.ckpt"
+        save_checkpoint(store, path, fisher=FisherDiagonal.ones_like(grown))
+        with pytest.raises(FormatError, match="'head.taskB.weights': .* in the Fisher payload"):
+            build_regime("ewc", 1.0, 1, str(path))
 
-    def test_alignment_mismatch_names_entry(self):
+    def test_alignment_mismatch_names_entry(self, tmp_path):
         store = tiny_net(seed=6)
-        anchor = copy_of(store)
-        fisher = FisherDiagonal.ones_like(store)
-        renamed = ParamStore({("x" + n if n == "trunk.0.bias" else n): store[n] for n in store})
-        with pytest.raises(AlignmentError, match="trunk.0.bias"):
-            ewc_penalty(leaves_of(renamed), anchor, fisher, lam=1.0)
+        ones = FisherDiagonal.ones_like(store).importance
+        renamed = ParamStore({("x" + n if n == "trunk.0.bias" else n): ones[n] for n in ones})
+        path = tmp_path / "dm_a.ckpt"
+        save_checkpoint(store, path, fisher=FisherDiagonal(renamed, FisherProvenance("", "", "", 0)))
+        with pytest.raises(FormatError, match="'xtrunk.0.bias': .* in the Fisher payload"):
+            build_regime("ewc", 1.0, 1, str(path))
 
 
 class TestTotalLoss:

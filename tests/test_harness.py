@@ -141,14 +141,29 @@ class TestConfig:
     def test_run_id_stable_across_out_dirs(self, tmp_path):
         a = tiny_config(tmp_path / "one")
         b = tiny_config(tmp_path / "two")
-        assert config_digest(a) == config_digest(b)
-        assert run_id("dm-a", 0.0, 1, config_digest(a)) == run_id("dm-a", 0.0, 1, config_digest(b))
+        digest_a, digest_b = config_digest(a, load_data(a)), config_digest(b, load_data(b))
+        assert digest_a == digest_b
+        assert run_id("dm-a", 0.0, 1, digest_a) == run_id("dm-a", 0.0, 1, digest_b)
 
     def test_run_id_changes_with_core_version(self, tmp_path, monkeypatch):
         config = tiny_config(tmp_path)
-        before = run_id("ewc", 150.0, 1, config_digest(config))
+        before = run_id("ewc", 150.0, 1, config_digest(config, load_data(config)))
         monkeypatch.setattr(tensor, "CORE_VERSION", tensor.CORE_VERSION + 1)
-        assert run_id("ewc", 150.0, 1, config_digest(config)) != before
+        assert run_id("ewc", 150.0, 1, config_digest(config, load_data(config))) != before
+
+    def test_run_ids_are_pinned(self, tmp_path):
+        # a manifest's digest hashes its parsed content, which for a
+        # manifest that generate-data wrote is the file's text, so these
+        # ids equal those of hashing the file's bytes
+        config = tiny_config(tmp_path)
+        write_dataset(tmp_path / "data", *load_data(config))
+        path = tmp_path / "data" / "manifest.txt"
+        from_file = tiny_config(tmp_path, data_manifest=path)
+        assert run_id("ewc", 150.0, 1, config_digest(config, load_data(config))) == "4ba9fbac75c8"
+        assert run_id("ewc", 150.0, 1, config_digest(from_file, load_data(from_file))) == "564509fbbbaa"
+        # a comment touches no data, so the ids hold
+        path.write_text("# split seeds from data_seed 7\n" + path.read_text())
+        assert run_id("ewc", 150.0, 1, config_digest(from_file, load_data(from_file))) == "564509fbbbaa"
 
 
 class TestTrainLoop:

@@ -14,9 +14,8 @@ from ewclab.metrics import (
     pooled_dice,
     predict_full,
     predict_full_heads,
-    predict_patch,
 )
-from ewclab.network import NetworkSpec, forward_logits, init_network, leaf_tensors, output_margin
+from ewclab.network import NetworkSpec, forward_heads, forward_logits, init_network, leaf_tensors, output_margin
 from ewclab.synthtasks import TASK_A, TASK_B, GeneratorConfig, generate_sample
 from ewclab.tensor import Graph
 
@@ -136,7 +135,7 @@ class TestEvaluateModel:
         patch = self.samples[0].channels[:, :14, :14]
         truth = self.samples[0].labels_a[m : 14 - m, m : 14 - m]
         scores = evaluate_model(self.store, "taskA", TASK_A, [(patch, truth)], "patch")
-        pred = predict_patch(self.store, "taskA", patch)
+        pred = forward_heads(self.store, patch, ("taskA",))[0].argmax(axis=0)
         oracle = {name: dice(pred, truth, c) for c, name in enumerate(TASK_A.class_names) if c > 0}
         assert scores == {name: value for name, value in oracle.items() if value is not None}
 
@@ -179,12 +178,16 @@ class TestEvaluateModel:
         with pytest.raises(HeadError, match="taskB"):
             evaluate_full(store, [TASK_A, TASK_B], self.samples)
 
-    def test_predict_patch_argmax(self):
+    def test_patch_prediction_is_the_logit_argmax(self):
+        # scored against the argmax of the head's graph logits, the patch
+        # scope's prediction matches it on every pixel: each class present
+        # has Dice 1
         patch = self.samples[0].channels[:, :10, :10]
-        from ewclab.network import forward_pass
-
-        logits = forward_pass(self.store, patch, "taskA")
-        assert np.array_equal(predict_patch(self.store, "taskA", patch), logits.argmax(axis=0))
+        logits = forward_logits(leaf_tensors(self.store, Graph()), self.store.spec, patch, "taskA")
+        truth = logits.values.argmax(axis=0)
+        scores = evaluate_model(self.store, "taskA", TASK_A, [(patch, truth)], "patch")
+        assert scores == {TASK_A.class_names[c]: 1.0 for c in np.unique(truth) if c > 0}
+        assert scores
 
     def test_inference_builds_no_graph(self, monkeypatch):
         from ewclab import tensor

@@ -18,7 +18,6 @@ from ewclab.network import (
     attach_head,
     forward_heads,
     forward_logits,
-    forward_pass,
     init_network,
     leaf_tensors,
     load_checkpoint,
@@ -87,7 +86,7 @@ class TestForward:
     def test_zero_params_give_zero_logits(self):
         store = init_network(small_spec(), seed=0)
         zeroed = ParamStore({n: np.zeros_like(store[n]) for n in store}, spec=store.spec)
-        logits = forward_pass(zeroed, np.ones((2, 9, 9)), "taskA")
+        logits = forward_heads(zeroed, np.ones((2, 9, 9)), ("taskA",))[0]
         assert np.all(logits == 0.0)
 
     def test_output_spatial_size(self):
@@ -95,26 +94,26 @@ class TestForward:
         spec = NetworkSpec(in_channels=2, trunk=(3, 3, 3), heads={"taskA": 4})
         store = init_network(spec, seed=2)
         rng = np.random.default_rng(0)
-        logits = forward_pass(store, rng.normal(size=(2, 17, 17)), "taskA")
+        logits = forward_heads(store, rng.normal(size=(2, 17, 17)), ("taskA",))[0]
         assert logits.shape == (4, 11, 11)
         assert output_margin(spec) == 3
 
     def test_pure_function_bitwise(self):
         store = init_network(small_spec(), seed=3)
         patch = np.random.default_rng(1).normal(size=(2, 8, 8))
-        a = forward_pass(store, patch, "taskA")
-        b = forward_pass(store, patch, "taskA")
+        a = forward_heads(store, patch, ("taskA",))[0]
+        b = forward_heads(store, patch, ("taskA",))[0]
         assert a.tobytes() == b.tobytes()
 
     def test_unknown_head(self):
         store = init_network(small_spec(), seed=0)
         with pytest.raises(HeadError, match="nope"):
-            forward_pass(store, np.zeros((2, 9, 9)), "nope")
+            forward_heads(store, np.zeros((2, 9, 9)), ("nope",))
 
     def test_patch_too_small(self):
         store = init_network(small_spec(), seed=0)
         with pytest.raises(DimensionError):
-            forward_pass(store, np.zeros((2, 4, 4)), "taskA")
+            forward_heads(store, np.zeros((2, 4, 4)), ("taskA",))
 
 
     @pytest.mark.parametrize("seed", range(6))
@@ -138,7 +137,7 @@ class TestForward:
             shared = forward_heads(store, patch, list(heads)[::-1])
             for head, logits in zip(list(heads)[::-1], shared):
                 graph = forward_logits(leaf_tensors(store, Graph()), spec, patch, head).values
-                assert forward_pass(store, patch, head).tobytes() == graph.tobytes()
+                assert forward_heads(store, patch, (head,))[0].tobytes() == graph.tobytes()
                 assert logits.tobytes() == graph.tobytes()
 
     def test_heads_are_checked_before_any_conv(self, monkeypatch):
@@ -166,11 +165,11 @@ class TestAttachHead:
     def test_trunk_untouched_and_old_head_identical(self):
         store = init_network(small_spec(), seed=4)
         patch = np.random.default_rng(2).normal(size=(2, 9, 9))
-        before = forward_pass(store, patch, "taskA")
+        before = forward_heads(store, patch, ("taskA",))[0]
         grown = attach_head(store, "taskB", 2, seed=99)
         for name in store:
             assert grown[name].tobytes() == store[name].tobytes()
-        after = forward_pass(grown, patch, "taskA")
+        after = forward_heads(grown, patch, ("taskA",))[0]
         assert before.tobytes() == after.tobytes()
 
     def test_new_entries_present_with_fresh_indices(self):
@@ -334,6 +333,36 @@ class TestCheckpoint:
         path = tmp_path / "net.ckpt"
         save_checkpoint(ParamStore(entries, spec=store.spec), path)
         with pytest.raises(FormatError, match=re.escape(repr(entry))):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit,entry", [
+        (lambda entries: entries.pop("trunk.1.bias"), "trunk.1.bias"),
+        (lambda entries: entries.update(extra=np.ones(2)), "extra"),
+        (lambda entries: entries.update({"head.taskA.bias": np.ones(3)}), "head.taskA.bias"),
+    ], ids=["missing", "extra", "misshaped"])
+    def test_fisher_payload_unlike_the_parameters_names_the_entry(self, tmp_path, edit, entry):
+        store = init_network(small_spec(), seed=7)
+        entries = dict(FisherDiagonal.ones_like(store).importance)
+        edit(entries)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(store, path, fisher=FisherDiagonal(ParamStore(entries), FisherProvenance("", "", "", 0)))
+        with pytest.raises(FormatError, match=re.escape(repr(entry)) + ".*Fisher payload"):
+            load_checkpoint(path)
+
+    def test_entry_size_beyond_int64_reads_as_truncation(self, tmp_path):
+        # rank 8 with every dim 65536: 2**128 values, which wraps to 0 in
+        # int64 arithmetic
+        store = init_network(small_spec(), seed=7)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(store, path)
+        data = path.read_bytes()
+        (size,) = struct.unpack("<I", data[5:9])
+        name = b"trunk.0.kernels"
+        rank_at = 9 + size + 4 + len(name)
+        assert data[9 + size + 4 : rank_at] == name and data[rank_at] == 4
+        huge = struct.pack("<B8I", 8, *[65536] * 8)
+        path.write_bytes(data[:rank_at] + huge + data[rank_at + 1 + 4 * 4 :])
+        with pytest.raises(FormatError, match="truncated checkpoint while reading payload of 'trunk.0.kernels'"):
             load_checkpoint(path)
 
     def test_file_bytes_are_pinned(self, tmp_path):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import builtins
 import dataclasses
+import errno
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from ewclab.synthtasks import (
     WM,
     GeneratorConfig,
     SampleBank,
+    export_images,
     generate_sample,
     make_splits,
     manifest_text,
@@ -130,6 +133,37 @@ class TestDatasetFiles:
         assert pgms and ppms
         header = pgms[0].read_bytes()[:2]
         assert header == b"P5"
+
+
+    def test_failed_image_export_leaves_no_partial_preview(self, tmp_path, monkeypatch):
+        real_open = builtins.open
+
+        class FullDisk:
+            """A file that takes one write, then fails like a full disk."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return FullDisk(fh) if "w" in mode else fh
+
+        monkeypatch.setattr(builtins, "open", failing_open)
+        with pytest.raises(OSError, match="No space"):
+            export_images(generate_sample(3, CONFIG), tmp_path / "s3")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSampleBank:
