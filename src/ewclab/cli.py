@@ -27,7 +27,7 @@ from .harness import (
     parse_config,
     run_id,
 )
-from .synthtasks import TASKS, SampleBank, write_dataset
+from .synthtasks import TASKS, SampleBank, manifest_text, write_dataset
 
 
 def _config_keys() -> list[str]:
@@ -88,7 +88,7 @@ def cmd_train(args) -> int:
     seed = config.seeds[0]
     data = load_data(config)
     plan = build_regime(kind, lam, seed, config.checkpoint or None, trunk=tuple(config.trunk))
-    rid = run_id(kind, lam, seed, config_digest(config, data))
+    rid = run_id(kind, lam, seed, config_digest(config, manifest_text(*data)))
     record = harness.train(plan, config, SampleBank(*data), Path(config.out_dir) / "runs" / rid)
     print(f"run {record.run_id} done in {record.duration_s:.1f}s; outputs under "
           f"{Path(config.out_dir) / 'runs' / rid}")

@@ -10,10 +10,12 @@ CSV bytes on the same platform.
 from __future__ import annotations
 
 import hashlib
+import operator
 import os
 import time
 from contextlib import suppress
 from dataclasses import dataclass, fields as dataclass_fields
+from functools import reduce
 from pathlib import Path
 from typing import NamedTuple
 
@@ -43,7 +45,7 @@ from .synthtasks import (
     manifest_text,
     parse_manifest,
 )
-from .tensor import Graph, add, add_n, backward, log_softmax, nll_loss, reshape, scale
+from .tensor import Graph, GradientMap, Tensor, backward, log_softmax, nll_loss, reshape, scale
 
 Array = np.ndarray
 
@@ -199,13 +201,14 @@ def dump_config(config: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def config_digest(config: ExperimentConfig, data: tuple[SplitManifest, GeneratorConfig]) -> str:
+def config_digest(config: ExperimentConfig, manifest: str) -> str:
     """Hash over everything that shapes a single run's trajectory: the
-    config, the content of a data manifest (``data``, as :func:`load_data`
-    parsed it; not its path) and the numeric core's version.  The sweep
-    lists and output location are excluded so run ids stay stable across
-    sweeps, output directories and copies of a manifest; editing its data
-    in place changes them, editing its comments does not."""
+    config, for a data manifest its content (``manifest``, the
+    :func:`manifest_text` of what :func:`load_data` parsed; not its path)
+    and the numeric core's version.  The sweep lists and output location
+    are excluded so run ids stay stable across sweeps, output directories
+    and copies of a manifest; editing its data in place changes them,
+    editing its comments does not."""
     skip = {"regimes", "lambdas", "seeds", "out_dir"}
     lines = []
     for f in dataclass_fields(config):
@@ -213,7 +216,7 @@ def config_digest(config: ExperimentConfig, data: tuple[SplitManifest, Generator
             continue
         value = getattr(config, f.name)
         if f.name == "data_manifest" and value:
-            value = "sha256:" + hashlib.sha256(manifest_text(*data).encode()).hexdigest()
+            value = "sha256:" + hashlib.sha256(manifest.encode()).hexdigest()
         lines.append(f"{f.name}={value}")
     lines.append(f"core_version={tensor.CORE_VERSION}")
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
@@ -387,16 +390,57 @@ def _epoch_batches(
 # ---------------------------------------------------------------------------
 
 
-def _mean_patch_loss(leaves, spec, images, batch, task: TaskDef, config, margin):
-    losses = []
-    for idx, top, left in batch:
-        patch, labels = extract_patch(images[idx], task, top, left, config.patch_size, margin)
-        logits = network.forward_logits(leaves, spec, patch, task.head)
-        k = logits.values.shape[0]
-        n = logits.values.size // k
-        lp = log_softmax(reshape(logits, (k, n)))
-        losses.append(nll_loss(lp, labels.reshape(-1)))
-    return scale(add_n(losses), 1.0 / len(losses))
+def _patch_loss(leaves, spec, sample: ScanSample, task: TaskDef, top: int, left: int, config) -> Tensor:
+    """Mean per-pixel NLL of one training patch, built on the step's leaves."""
+    patch, labels = extract_patch(sample, task, top, left, config.patch_size, output_margin(spec))
+    logits = network.forward_logits(leaves, spec, patch, task.head)
+    k = logits.values.shape[0]
+    return nll_loss(log_softmax(reshape(logits, (k, logits.values.size // k))), labels.reshape(-1))
+
+
+def _train_step(store: ParamStore, plan: RegimePlan, work, config, epoch: int, step: int):
+    """One SGD step's task loss, total loss and gradient map at ``store``.
+
+    ``work`` lists (task, training images, batch) per trained task, in
+    the plan's order.  The gradient terms run one at a time, each patch's
+    forward and backward before the next patch is built, so the step
+    holds one patch's arrays at a time.  They run in the order one
+    backward over the step's whole loss would add them into the
+    parameters (the penalty, then the tasks last to first, each batch
+    from its last patch to its first), so the gradients have that pass's
+    bits; so does the loss, summed as that graph summed it (the patches
+    in batch order, times 1/len(batch), task by task, then the penalty).
+    Entries no term reaches are absent from the map.  A non-finite term
+    or total raises :class:`DivergenceError` before any update.
+    """
+    leaves = leaf_tensors(store, Graph())
+    grads: GradientMap = {}
+
+    def stream(term: Tensor, factor: float | None = None) -> float:
+        """``term``'s value; its gradient, times ``factor``, goes into ``grads``."""
+        value = float(term.values)
+        if not np.isfinite(value):
+            raise DivergenceError(epoch, step)
+        backward(term if factor is None else scale(term, factor), grads)
+        return value
+
+    penalty = None
+    if plan.fisher is not None:
+        penalty = stream(ewc_penalty(leaves, plan.anchor, plan.fisher, plan.lam))
+    means = [0.0] * len(work)
+    for t in reversed(range(len(work))):
+        task, images, batch = work[t]
+        factor = 1.0 / len(batch)
+        values = [0.0] * len(batch)
+        for i in reversed(range(len(batch))):
+            idx, top, left = batch[i]
+            values[i] = stream(_patch_loss(leaves, store.spec, images[idx], task, top, left, config), factor)
+        means[t] = reduce(operator.add, values) * factor  # a left fold, as the graph's sum added
+    loss = reduce(operator.add, means)
+    total = loss if penalty is None else loss + penalty
+    if not np.isfinite(total):
+        raise DivergenceError(epoch, step)
+    return loss, total, grads
 
 
 def train(
@@ -411,15 +455,13 @@ def train(
     checkpoints at epoch 0 and the final epoch."""
     t0 = time.monotonic()
     config.validate()
-    rid = run_id(plan.kind, plan.lam, plan.seed, config_digest(config, (bank.manifest, bank.config)))
+    rid = run_id(plan.kind, plan.lam, plan.seed, config_digest(config, manifest_text(bank.manifest, bank.config)))
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     data = PlanData(bank, plan.input_splits, plan.kind)
 
     # a copy: the plan's store stays as built, so a plan trains the same twice
     store = ParamStore(plan.store, spec=plan.store.spec)
-    spec = store.spec
-    margin = output_margin(spec)
     tasks = [TASKS[t] for t in plan.train_tasks]
     eval_tasks = [TASKS[t] for t in plan.eval_tasks]
 
@@ -465,25 +507,13 @@ def train(
         loss_sum = 0.0
         penalty_sum = 0.0
         for step in range(steps):
-            leaves = leaf_tensors(store, Graph())
-            task_losses = []
+            work = []
             for task in tasks:
                 batches = per_task_batches[task.task_id]
-                batch = batches[step % len(batches)]
-                task_losses.append(
-                    _mean_patch_loss(leaves, spec, train_images[task.task_id], batch, task, config, margin)
-                )
-            task_loss = task_losses[0] if len(task_losses) == 1 else add(task_losses[0], task_losses[1])
-            total = task_loss
-            if plan.fisher is not None:
-                total = add(task_loss, ewc_penalty(leaves, plan.anchor, plan.fisher, plan.lam))
-            total_value = float(total.values)
-            if not np.isfinite(total_value):
-                raise DivergenceError(epoch, step)
-            loss_value = float(task_loss.values)
+                work.append((task, train_images[task.task_id], batches[step % len(batches)]))
+            loss_value, total_value, grads = _train_step(store, plan, work, config, epoch, step)
             loss_sum += loss_value
             penalty_sum += total_value - loss_value
-            grads = backward(total)
             sgd_update(store, grads, velocity, config.learning_rate, config.momentum)
         losses.append((epoch, loss_sum / steps, penalty_sum / steps))
         score(epoch, "patch")
@@ -645,8 +675,9 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
     out = Path(config.out_dir)
     runs_dir = os.path.join(out, "runs")  # a plain string: a hit builds no Path
     os.makedirs(runs_dir, exist_ok=True)
-    write_text(out / "manifest.txt", manifest_text(*data))
-    digest = config_digest(config, data)
+    manifest = manifest_text(*data)
+    write_text(out / "manifest.txt", manifest)
+    digest = config_digest(config, manifest)
     bank = SampleBank(*data)
     eval_sets: dict[str, list] = {}  # filled by the first run that trains
 

@@ -306,12 +306,17 @@ def save_checkpoint(
 ) -> None:
     """Write a bit-exact checkpoint; optionally embeds a Fisher payload.
 
-    The bytes go to a temporary file beside ``path`` that then replaces
-    it, so a save that fails or is interrupted leaves any earlier file at
+    A Fisher payload must hold the entries of the store's network spec,
+    as :func:`load_checkpoint` requires: otherwise a :class:`FormatError`
+    names the first entry that differs, before any file is opened.  The
+    bytes go to a temporary file beside ``path`` that then replaces it,
+    so a save that fails or is interrupted leaves any earlier file at
     ``path`` as it was.
     """
     if store.spec is None:
         raise FormatError("cannot checkpoint a store without a network spec")
+    if fisher is not None:
+        _check_layout(fisher.importance, entry_shapes(store.spec), "the Fisher payload", "the parameters")
     header = _dump_header(store.spec, len(store), metadata or {}, fisher)
     with atomic_open(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -468,13 +473,18 @@ def sgd_update(
     learning_rate: float,
     momentum: float,
 ) -> None:
-    """Classic momentum step, applied to entries in store order; ``grads``
-    covers every entry (zero where the loss does not reach)."""
+    """Classic momentum step, applied to entries in store order.  An entry
+    missing from ``grads`` (no loss term reached it) only coasts on its
+    velocity: with a positive learning rate that is bit for bit the step
+    an all-zero gradient gives, since ``v - 0.0`` is ``v``, signed zeros
+    included."""
     for name, arr in store.items():
         v = velocity.get(name)
         if v is None:
             v = np.zeros_like(arr)
             velocity[name] = v
         v *= momentum
-        v -= learning_rate * grads[name]
+        grad = grads.get(name)
+        if grad is not None:
+            v -= learning_rate * grad
         arr += v

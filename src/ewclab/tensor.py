@@ -4,11 +4,14 @@ Every :class:`Tensor` is a node of one :class:`Graph`, created either as a
 leaf (named parameter or unnamed constant) or as the output of a
 primitive operation that keeps its parents and its backward rule.  The
 graph itself holds no operation nodes: it numbers nodes in creation order
-and lists its named leaves, so a step's arrays are freed as soon as its
+and lists its named leaves, so a loss's arrays are freed as soon as the
 loss is dropped.  A backward pass walks the nodes reachable from the loss
 in descending creation number, which is always a valid topological order,
 and accumulates gradients into fixed-order buffers so repeated passes are
-bit-identical.
+bit-identical.  It can also add into a gradient map that earlier passes
+filled: a sum of terms on one graph then runs term by term, each term's
+arrays dropped before the next is built, with the bits of one pass over
+the sum when the terms run in the order that pass would reach them.
 
 Only the operations a small patch-based segmentation network needs are
 provided; there is no broadcasting, no GPU path and no higher-order
@@ -18,7 +21,7 @@ through :func:`conv_forward`, the kernel under the :func:`conv2d` op.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -115,17 +118,24 @@ class Tensor:
         return f"Tensor({tag}, shape={self.shape})"
 
 
-def backward(loss: Tensor) -> GradientMap:
-    """Reverse-mode gradients of a scalar loss for every named parameter
-    on the loss's graph.
+def backward(loss: Tensor, grads: GradientMap | None = None) -> GradientMap:
+    """Reverse-mode gradients of a scalar loss for the named parameters on
+    the loss's graph.
 
-    Parameters registered on the graph but not reachable from the loss get
-    an all-zero gradient.  Accumulation visits the nodes reachable from the
-    loss in descending creation number, so two passes over identical
-    inputs are bit-identical.
+    Without ``grads``, the result maps every named parameter of the graph
+    to its gradient, all-zero for one the loss does not reach.  With
+    ``grads``, the loss's gradients are added into that map, which is
+    returned: an entry's first contribution is stored as it is, later ones
+    are added with ``+=``, and entries the loss does not reach are left
+    alone (an absent one stays absent).  Contributions arrive in the order
+    the walk visits the nodes reachable from the loss, descending creation
+    number, so two passes over identical inputs are bit-identical, and
+    terms run one after another into one map give the bits of one pass
+    over their sum when they run in the order that pass reaches them.
     """
     if loss.values.shape != ():
         raise ContractError(f"loss must be a scalar, got shape {loss.values.shape}")
+    out: GradientMap = {} if grads is None else grads
     reachable = {loss.node_id: loss}
     stack = [loss]
     while stack:
@@ -133,7 +143,19 @@ def backward(loss: Tensor) -> GradientMap:
             if parent.node_id not in reachable:
                 reachable[parent.node_id] = parent
                 stack.append(parent)
-    buffers: dict[int, Array] = {loss.node_id: np.ones((), dtype=np.float64)}
+    # a named leaf's gradient goes straight into the map; every other
+    # node's into a buffer keyed by its creation number
+    buffers: dict[int, Array] = {}
+
+    def accumulate(node: Tensor, grad: Array) -> None:
+        acc, key = (out, node.name) if node.name is not None else (buffers, node.node_id)
+        prev = acc.get(key)
+        if prev is None:
+            acc[key] = np.array(grad, dtype=np.float64)
+        else:
+            prev += grad
+
+    accumulate(loss, np.ones((), dtype=np.float64))
     for node_id in sorted(reachable, reverse=True):
         node = reachable[node_id]
         if not node.parents:
@@ -143,18 +165,14 @@ def backward(loss: Tensor) -> GradientMap:
         if grad is None:
             continue
         for parent, pgrad in zip(node.parents, node.vjp(grad)):
-            if pgrad is None:
-                continue
-            acc = buffers.get(parent.node_id)
-            if acc is None:
-                buffers[parent.node_id] = np.array(pgrad, dtype=np.float64)
-            else:
-                acc += pgrad
-    out: GradientMap = {}
-    for p in loss.graph.parameters():
-        grad = buffers.get(p.node_id)
-        out[p.name] = np.zeros_like(p.values) if grad is None else grad
-    return out
+            if pgrad is not None:
+                accumulate(parent, pgrad)
+    if grads is not None:
+        return out
+    return {
+        p.name: np.zeros_like(p.values) if out.get(p.name) is None else out[p.name]
+        for p in loss.graph.parameters()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -323,25 +341,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return g, g
 
     return Tensor.op(a.values + b.values, (a, b), vjp)
-
-
-def add_n(terms: Iterable[Tensor]) -> Tensor:
-    """Sum of same-shape tensors, accumulated in list order."""
-    terms = list(terms)
-    if not terms:
-        raise ContractError("add_n needs at least one term")
-    shape = terms[0].shape
-    for t in terms[1:]:
-        if t.shape != shape:
-            raise DimensionError(f"add_n shapes differ: {shape} vs {t.shape}")
-    total = terms[0].values.copy()
-    for t in terms[1:]:
-        total += t.values
-
-    def vjp(g: Array) -> tuple[Array, ...]:
-        return tuple(g for _ in terms)
-
-    return Tensor.op(total, terms, vjp)
 
 
 def scale(a: Tensor, factor: float) -> Tensor:

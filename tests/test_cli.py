@@ -178,13 +178,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "trunk.2.kernels" in err
 
-    def test_fisher_payload_unlike_the_parameters_exits_1_before_any_run(self, tmp_path, capsys):
+    def test_fisher_payload_unlike_the_parameters_exits_1_before_any_run(self, tmp_path, capsys, save_unchecked):
         # a task-A checkpoint whose Fisher payload lacks one entry
         ckpt = tmp_path / "a.ckpt"
         store = init_network(NetworkSpec(in_channels=2, trunk=(6, 6), heads={"taskA": 4}), seed=1)
         ones = {name: np.ones(values.shape) for name, values in store.items() if name != "trunk.1.bias"}
         fisher = FisherDiagonal(ParamStore(ones), FisherProvenance("train_a", "taskA", "empirical", 8))
-        save_checkpoint(store, ckpt, fisher=fisher)
+        save_unchecked(store, ckpt, fisher=fisher)
         code = run(["train", "--regime", "ewc", "--lambda", "1", "--checkpoint", str(ckpt),
                     "--out", str(tmp_path)] + TINY)
         assert code == 1

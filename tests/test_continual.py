@@ -226,20 +226,20 @@ class TestPenalty:
     # checkpoint, whose Fisher payload must hold the parameters' entries:
     # a payload that does not is rejected at load, before any plan exists.
 
-    def test_fisher_and_anchor_tables_must_match(self, tmp_path):
+    def test_fisher_and_anchor_tables_must_match(self, tmp_path, save_unchecked):
         store = tiny_net(seed=6)
         grown = attach_head(store, "taskB", 2, seed=1)
         path = tmp_path / "dm_a.ckpt"
-        save_checkpoint(store, path, fisher=FisherDiagonal.ones_like(grown))
+        save_unchecked(store, path, fisher=FisherDiagonal.ones_like(grown))
         with pytest.raises(FormatError, match="'head.taskB.weights': .* in the Fisher payload"):
             build_regime("ewc", 1.0, 1, str(path))
 
-    def test_alignment_mismatch_names_entry(self, tmp_path):
+    def test_alignment_mismatch_names_entry(self, tmp_path, save_unchecked):
         store = tiny_net(seed=6)
         ones = FisherDiagonal.ones_like(store).importance
         renamed = ParamStore({("x" + n if n == "trunk.0.bias" else n): ones[n] for n in ones})
         path = tmp_path / "dm_a.ckpt"
-        save_checkpoint(store, path, fisher=FisherDiagonal(renamed, FisherProvenance("", "", "", 0)))
+        save_unchecked(store, path, fisher=FisherDiagonal(renamed, FisherProvenance("", "", "", 0)))
         with pytest.raises(FormatError, match="'xtrunk.0.bias': .* in the Fisher payload"):
             build_regime("ewc", 1.0, 1, str(path))
 

@@ -12,12 +12,13 @@ import hashlib
 import os
 import re
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ewclab import harness, network, svgplot, synthtasks, tensor
-from ewclab.continual import REGIMES, build_regime
+from ewclab.continual import REGIMES, build_regime, ewc_penalty
 from ewclab.errors import ConfigError, ContractError, DivergenceError
 from ewclab.harness import (
     CSV_HEADER,
@@ -61,6 +62,10 @@ def tiny_config(tmp_path, **extra) -> ExperimentConfig:
     overrides["out_dir"] = str(tmp_path / "exp")
     overrides.update({k: str(v) for k, v in extra.items()})
     return parse_config(overrides=overrides)
+
+
+def digest_of(config: ExperimentConfig) -> str:
+    return config_digest(config, synthtasks.manifest_text(*load_data(config)))
 
 
 def project(csv_text: str) -> str:
@@ -141,15 +146,15 @@ class TestConfig:
     def test_run_id_stable_across_out_dirs(self, tmp_path):
         a = tiny_config(tmp_path / "one")
         b = tiny_config(tmp_path / "two")
-        digest_a, digest_b = config_digest(a, load_data(a)), config_digest(b, load_data(b))
+        digest_a, digest_b = digest_of(a), digest_of(b)
         assert digest_a == digest_b
         assert run_id("dm-a", 0.0, 1, digest_a) == run_id("dm-a", 0.0, 1, digest_b)
 
     def test_run_id_changes_with_core_version(self, tmp_path, monkeypatch):
         config = tiny_config(tmp_path)
-        before = run_id("ewc", 150.0, 1, config_digest(config, load_data(config)))
+        before = run_id("ewc", 150.0, 1, digest_of(config))
         monkeypatch.setattr(tensor, "CORE_VERSION", tensor.CORE_VERSION + 1)
-        assert run_id("ewc", 150.0, 1, config_digest(config, load_data(config))) != before
+        assert run_id("ewc", 150.0, 1, digest_of(config)) != before
 
     def test_run_ids_are_pinned(self, tmp_path):
         # a manifest's digest hashes its parsed content, which for a
@@ -159,11 +164,11 @@ class TestConfig:
         write_dataset(tmp_path / "data", *load_data(config))
         path = tmp_path / "data" / "manifest.txt"
         from_file = tiny_config(tmp_path, data_manifest=path)
-        assert run_id("ewc", 150.0, 1, config_digest(config, load_data(config))) == "4ba9fbac75c8"
-        assert run_id("ewc", 150.0, 1, config_digest(from_file, load_data(from_file))) == "564509fbbbaa"
+        assert run_id("ewc", 150.0, 1, digest_of(config)) == "4ba9fbac75c8"
+        assert run_id("ewc", 150.0, 1, digest_of(from_file)) == "564509fbbbaa"
         # a comment touches no data, so the ids hold
         path.write_text("# split seeds from data_seed 7\n" + path.read_text())
-        assert run_id("ewc", 150.0, 1, config_digest(from_file, load_data(from_file))) == "564509fbbbaa"
+        assert run_id("ewc", 150.0, 1, digest_of(from_file)) == "564509fbbbaa"
 
 
 class TestTrainLoop:
@@ -248,6 +253,154 @@ class TestTrainLoop:
         plan = type(plan)(**{**vars(plan), "input_splits": ("validation",)})
         with pytest.raises(ContractError, match="train_a"):
             train(plan, config, bank, tmp_path / "run")
+
+
+def one_graph_step(store, plan, work, config):
+    """The step as one graph: every patch's loss, summed with ``add`` and
+    scaled per task, task A plus task B, plus the penalty, then a single
+    backward.  The oracle of the streamed step."""
+    leaves = network.leaf_tensors(store, tensor.Graph())
+    margin = network.output_margin(store.spec)
+    means = []
+    for task, images, batch in work:
+        losses = []
+        for idx, top, left in batch:
+            patch, labels = harness.extract_patch(images[idx], task, top, left, config.patch_size, margin)
+            logits = network.forward_logits(leaves, store.spec, patch, task.head)
+            k = logits.values.shape[0]
+            lp = tensor.log_softmax(tensor.reshape(logits, (k, logits.values.size // k)))
+            losses.append(tensor.nll_loss(lp, labels.reshape(-1)))
+        total = losses[0]
+        for loss in losses[1:]:
+            total = tensor.add(total, loss)
+        means.append(tensor.scale(total, 1.0 / len(losses)))
+    task_loss = means[0] if len(means) == 1 else tensor.add(means[0], means[1])
+    total = task_loss
+    if plan.fisher is not None:
+        total = tensor.add(task_loss, ewc_penalty(leaves, plan.anchor, plan.fisher, plan.lam))
+    return float(task_loss.values), float(total.values), tensor.backward(total)
+
+
+def epoch_work(plan, config, bank, epoch):
+    """(task, images, batch) per trained task for each step of ``epoch``,
+    drawn as ``train`` draws them."""
+    per_task = []
+    for task_id in plan.train_tasks:
+        task = TASKS[task_id]
+        images = bank.split(f"train_{task_id}")
+        rng = harness.seeded_rng(plan.seed, "epoch", epoch, task_id)
+        per_task.append((task, images, harness._epoch_batches(images, task, config, rng)))
+    steps = max(len(batches) for _, _, batches in per_task)
+    return [[(task, images, batches[step % len(batches)]) for task, images, batches in per_task]
+            for step in range(steps)]
+
+
+@pytest.fixture(scope="module")
+def unequal(tmp_path_factory):
+    """A tiny config whose task-B split has more images than task A's (so
+    multitask runs more task-B batches than task-A ones, and the last
+    batch of each is short) and its dm-a checkpoint."""
+    tmp = tmp_path_factory.mktemp("unequal")
+    config = tiny_config(tmp, train_b_count=5)
+    (dm_a,) = run_experiment(config)
+    return config, dm_a.checkpoint_final
+
+
+class TestStreamedStep:
+    @pytest.mark.parametrize("kind,lam", [
+        ("ewc", 150.0), ("ewc", 0.0), ("l2", 1.0), ("finetune", 0.0), ("multitask", 0.0),
+    ])
+    def test_bitwise_equal_to_the_one_graph_step(self, unequal, kind, lam):
+        config, checkpoint = unequal
+        bank = SampleBank(*load_data(config))
+        plan = build_regime(kind, lam, 1, checkpoint if REGIMES[kind].sequential else None,
+                            trunk=config.trunk)
+        streamed = ParamStore(plan.store, spec=plan.store.spec)
+        oracle = ParamStore(plan.store, spec=plan.store.spec)
+        v_streamed, v_oracle = {}, {}
+        sizes = set()
+        for epoch in (1, 2):
+            for step, work in enumerate(epoch_work(plan, config, bank, epoch)):
+                sizes.update(len(batch) for _, _, batch in work)
+                loss, total, grads = harness._train_step(streamed, plan, work, config, epoch, step)
+                o_loss, o_total, o_grads = one_graph_step(oracle, plan, work, config)
+                assert (loss.hex(), total.hex()) == (o_loss.hex(), o_total.hex())
+                for name, grad in o_grads.items():
+                    if name in grads:
+                        assert grads[name].tobytes() == grad.tobytes(), name
+                    else:  # no term reached it
+                        assert not grad.any(), name
+                unreached = set(o_grads) - set(grads)
+                assert unreached == ({"head.taskA.weights", "head.taskA.bias"} if kind == "finetune" else set())
+                # a missing entry updates as a zero gradient does
+                network.sgd_update(streamed, grads, v_streamed, config.learning_rate, config.momentum)
+                network.sgd_update(oracle, o_grads, v_oracle, config.learning_rate, config.momentum)
+                for name in oracle:
+                    assert streamed[name].tobytes() == oracle[name].tobytes(), name
+        assert sizes == {2, 4}  # full batches and a short last one
+        if kind == "multitask":
+            assert len(epoch_work(plan, config, bank, 1)) == 3  # task A has 2 batches
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_applies_no_update(self, tmp_path, monkeypatch):
+        config = tiny_config(tmp_path)
+        plan = build_regime("dm-a", 0.0, 1, trunk=config.trunk)
+        plan.store["trunk.1.bias"][0] = np.inf
+        updates = []
+        monkeypatch.setattr(harness, "sgd_update", lambda *args: updates.append(args))
+        with pytest.raises(DivergenceError, match="epoch 1, batch 0"):
+            train(plan, config, SampleBank(*load_data(config)), tmp_path / "run")
+        assert updates == []
+
+    def test_run_files_are_pinned(self, tmp_path):
+        # digests computed with the one-graph step of the same numeric
+        # core (CORE_VERSION 2); a BLAS that rounds differently moves them
+        config = tiny_config(tmp_path, regime="multitask,ewc", train_b_count=5, **{"lambda": "150"})
+        records = {r.regime: r for r in run_experiment(config)}
+        digests = {}
+        for kind in ("multitask", "ewc"):
+            run_dir = tmp_path / "exp" / "runs" / records[kind].run_id
+            for name in ("metrics.csv", "losses.csv", "final.ckpt"):
+                digests[kind, name] = hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+        assert digests == PINNED_RUN_FILES
+
+    def test_step_memory_does_not_grow_with_batch_size(self, tmp_path, monkeypatch):
+        # the traced peak between consecutive updates: one patch's arrays
+        # at a time, whatever the batch holds
+        update = harness.sgd_update
+        peaks = {}
+        for batch_size in (2, 8):
+            config = tiny_config(tmp_path / str(batch_size), batch_size=batch_size,
+                                 patches_per_image=8, epochs=1)
+            plan = build_regime("dm-a", 0.0, 1, trunk=config.trunk)
+            bank = SampleBank(*load_data(config))
+            samples = []
+
+            def traced_update(*args):
+                update(*args)
+                samples.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.reset_peak()
+
+            monkeypatch.setattr(harness, "sgd_update", traced_update)
+            tracemalloc.start()
+            try:
+                train(plan, config, bank, tmp_path / str(batch_size) / "run")
+            finally:
+                tracemalloc.stop()
+            assert len(samples) >= 3
+            peaks[batch_size] = max(samples[1:])  # the first interval holds the set-up
+        assert peaks[8] <= 1.5 * peaks[2], peaks
+
+
+# sha256 of a tiny sweep's run files (multitask, and ewc at lambda 150)
+PINNED_RUN_FILES = {
+    ("multitask", "metrics.csv"): "581e41b2b75d9a22759992aa3d4f46437b7b7d5de7a3eae0b3c5e2d4b53d2de2",
+    ("multitask", "losses.csv"): "981817e3ef8237a305d521e21a32b92a046893a2f5cb63da748a9a5d4794e1a8",
+    ("multitask", "final.ckpt"): "9680e3def66e290db7034b73cf4c01b8c1685fa491a42475d1ee754435603e4c",
+    ("ewc", "metrics.csv"): "58b6636f6565b10fb82a41df0fd9cc448c792d0b26389ac69327b88a84b7370f",
+    ("ewc", "losses.csv"): "8192fec36ec037a73eb777b45d1a04cfae9305548e4ad3c58406ceb218b3045d",
+    ("ewc", "final.ckpt"): "5ab18c99d1210f506ff8c57442be1f5d1f2280bd5e631e74497b4898f15e7a38",
+}
 
 
 @pytest.fixture
@@ -356,6 +509,20 @@ class TestExperiment:
         run_experiment(config)
         assert calls == []
         assert (out / "curves.csv").read_bytes() == curves
+
+    def test_rerun_builds_the_manifest_text_once(self, tmp_path, monkeypatch):
+        # manifest.txt is written from the text the run ids hash
+        config = tiny_config(tmp_path)
+        write_dataset(tmp_path / "data", *load_data(config))
+        config = tiny_config(tmp_path, data_manifest=tmp_path / "data" / "manifest.txt")
+        (first,) = run_experiment(config)
+        calls = []
+        text = synthtasks.manifest_text
+        monkeypatch.setattr(harness, "manifest_text", lambda *args: calls.append(args) or text(*args))
+        (again,) = run_experiment(config)
+        assert len(calls) == 1
+        assert again.run_id == first.run_id == run_id("dm-a", 0.0, 1, digest_of(config))
+        assert (tmp_path / "exp" / "manifest.txt").read_text() == text(*load_data(config))
 
     def test_curves_csv_joins_the_runs_metrics_lines_in_sweep_order(self, tmp_path):
         config = tiny_config(tmp_path, regime="ewc,finetune,l2", **{"lambda": "2, 0.5"})

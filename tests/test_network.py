@@ -271,15 +271,19 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="reserved"):
             save_checkpoint(store, path, metadata={"trunk": "x"})
 
-        # a failure after writing started (the header counts the
-        # importances, then reading them fails) leaves the old file too
-        class BrokenImportance(dict):
-            def items(self):
+        # a failure after writing started (the header and the parameters
+        # are written, then an importance's bytes cannot be read) leaves
+        # the old file too
+        class BrokenArray:
+            def __init__(self, shape):
+                self.shape, self.ndim = shape, len(shape)
+
+            def astype(self, *args, **kwargs):
                 raise OSError("disk gone")
 
         fisher = SimpleNamespace(
             provenance=FisherProvenance("train_a", "taskA", "empirical", 1),
-            importance=BrokenImportance(store),
+            importance={name: BrokenArray(values.shape) for name, values in store.items()},
         )
         with pytest.raises(OSError, match="disk gone"):
             save_checkpoint(store, path, fisher=fisher)
@@ -340,14 +344,28 @@ class TestCheckpoint:
         (lambda entries: entries.update(extra=np.ones(2)), "extra"),
         (lambda entries: entries.update({"head.taskA.bias": np.ones(3)}), "head.taskA.bias"),
     ], ids=["missing", "extra", "misshaped"])
-    def test_fisher_payload_unlike_the_parameters_names_the_entry(self, tmp_path, edit, entry):
+    def test_fisher_payload_unlike_the_parameters_names_the_entry(self, tmp_path, edit, entry, save_unchecked):
         store = init_network(small_spec(), seed=7)
         entries = dict(FisherDiagonal.ones_like(store).importance)
         edit(entries)
         path = tmp_path / "net.ckpt"
-        save_checkpoint(store, path, fisher=FisherDiagonal(ParamStore(entries), FisherProvenance("", "", "", 0)))
+        save_unchecked(store, path, fisher=FisherDiagonal(ParamStore(entries), FisherProvenance("", "", "", 0)))
         with pytest.raises(FormatError, match=re.escape(repr(entry)) + ".*Fisher payload"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit,entry", [
+        (lambda entries: entries.pop("trunk.1.bias"), "trunk.1.bias"),
+        (lambda entries: entries.update(extra=np.ones(2)), "extra"),
+        (lambda entries: entries.update({"head.taskA.bias": np.ones(3)}), "head.taskA.bias"),
+    ], ids=["missing", "extra", "misshaped"])
+    def test_fisher_payload_unlike_the_parameters_is_not_saved(self, tmp_path, edit, entry):
+        store = init_network(small_spec(), seed=7)
+        entries = dict(FisherDiagonal.ones_like(store).importance)
+        edit(entries)
+        fisher = FisherDiagonal(ParamStore(entries), FisherProvenance("", "", "", 0))
+        with pytest.raises(FormatError, match=re.escape(repr(entry)) + ".*Fisher payload"):
+            save_checkpoint(store, tmp_path / "net.ckpt", fisher=fisher)
+        assert list(tmp_path.iterdir()) == []  # no file and no .tmp
 
     def test_entry_size_beyond_int64_reads_as_truncation(self, tmp_path):
         # rank 8 with every dim 65536: 2**128 values, which wraps to 0 in

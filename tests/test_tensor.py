@@ -14,7 +14,6 @@ from ewclab.tensor import (
     Graph,
     Tensor,
     add,
-    add_n,
     backward,
     conv2d,
     conv_forward,
@@ -428,10 +427,10 @@ class TestBackward:
 
 
 class TestHelpers:
-    def test_add_n_and_scale(self):
+    def test_scale_of_a_sum(self):
         g = Graph()
         terms = [Tensor.param(f"t{i}", np.array(float(i)), g) for i in range(4)]
-        mean = scale(add_n(terms), 0.25)
+        mean = scale(add(add(add(terms[0], terms[1]), terms[2]), terms[3]), 0.25)
         assert mean.values == pytest.approx(1.5)
         grads = backward(mean)
         assert all(grads[f"t{i}"] == pytest.approx(0.25) for i in range(4))
