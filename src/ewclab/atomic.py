@@ -11,7 +11,7 @@ UTF-8, and a text file that already holds its bytes is left in place.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 
 from .errors import EwcLabError
 
@@ -51,8 +51,9 @@ def write_text(path, text: str) -> None:
     except FileNotFoundError:
         same = False
     if same:
-        with suppress(FileNotFoundError):
-            os.unlink(f"{os.fspath(path)}.tmp")
+        tmp = f"{os.fspath(path)}.tmp"
+        if os.path.exists(tmp):
+            os.unlink(tmp)
         return
     with atomic_open(path) as fh:
         fh.write(data)

@@ -13,7 +13,6 @@ import hashlib
 import operator
 import os
 import time
-from contextlib import suppress
 from dataclasses import dataclass, fields as dataclass_fields
 from functools import reduce
 from pathlib import Path
@@ -728,8 +727,8 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
                 if kind == "dm-a" and record is not None:
                     checkpoint = record.checkpoint_final
 
-    if not failures:
-        (out / "failures.txt").unlink(missing_ok=True)
+    if not failures and os.path.exists(out / "failures.txt"):
+        os.unlink(out / "failures.txt")
 
     write_text(out / "curves.csv", _csv_text([line for record in records for line in record.lines]))
     groups = group_rows([row for record in records for row in record.rows])
@@ -841,7 +840,7 @@ def emit_plots(groups: RowGroups, plot_dir: str | Path) -> list[Path]:
         written.append(path)
     names = {path.name for path in written}
     for regime in REGIMES:  # a plot of an earlier, wider sweep
-        if f"{regime}.svg" not in names:
-            with suppress(FileNotFoundError):
-                os.unlink(os.path.join(plot_dir, f"{regime}.svg"))
+        stale = os.path.join(plot_dir, f"{regime}.svg")
+        if f"{regime}.svg" not in names and os.path.exists(stale):
+            os.unlink(stale)
     return written

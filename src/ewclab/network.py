@@ -24,7 +24,7 @@ import numpy as np
 
 from .atomic import atomic_open, read_file
 from .errors import AlignmentError, DimensionError, FormatError, HeadError, PrerequisiteError
-from .tensor import Graph, GradientMap, Tensor, conv2d, conv_forward, relu
+from .tensor import Graph, GradientMap, Tensor, conv2d, conv_forward, relu, relu_forward
 
 Array = np.ndarray
 
@@ -217,8 +217,8 @@ def forward_heads(store: ParamStore, patch: Array, heads: Sequence[str]) -> list
     likewise W'.  The trunk runs once, and every head's 1x1 conv reads
     its last feature map; the patch and every head are checked first.
 
-    Inference builds no graph: the same conv kernel as
-    :func:`forward_logits` runs on the store's arrays, and each result
+    Inference builds no graph: the same conv and ReLU kernels as
+    :func:`forward_logits` run on the store's arrays, and each result
     has the bits of ``forward_logits(...).values``.
     """
     spec = store.spec
@@ -240,7 +240,7 @@ def forward_heads(store: ParamStore, patch: Array, heads: Sequence[str]) -> list
     x = patch
     for i in range(len(spec.trunk)):
         y = conv_forward(x, store[f"trunk.{i}.kernels"], store[f"trunk.{i}.bias"])[0]
-        x = np.where(y > 0.0, y, 0.0)  # relu's own expression, so zeros keep their sign
+        x = relu_forward(y, out=y)  # relu's kernel, in place on the conv's fresh output
     return [conv_forward(x, store[f"head.{h}.weights"], store[f"head.{h}.bias"])[0] for h in heads]
 
 

@@ -7,20 +7,25 @@ graph itself holds no operation nodes: it numbers nodes in creation order
 and lists its named leaves, so a loss's arrays are freed as soon as the
 loss is dropped.  A backward pass walks the nodes reachable from the loss
 in descending creation number, which is always a valid topological order,
-and accumulates gradients into fixed-order buffers so repeated passes are
-bit-identical.  It can also add into a gradient map that earlier passes
-filled: a sum of terms on one graph then runs term by term, each term's
-arrays dropped before the next is built, with the bits of one pass over
-the sum when the terms run in the order that pass would reach them.
+and adds each node's gradient contributions in that fixed order, so
+repeated passes are bit-identical.  A node's gradient is the array its
+backward rule returned until a second contribution makes a new sum; only
+a named leaf's gradient is copied, into the map the pass returns.  A pass
+can also add into a gradient map that earlier passes filled: a sum of
+terms on one graph then runs term by term, each term's arrays dropped
+before the next is built, with the bits of one pass over the sum when the
+terms run in the order that pass would reach them.
 
 Only the operations a small patch-based segmentation network needs are
 provided; there is no broadcasting, no GPU path and no higher-order
 differentiation.  Inference needs no graph: it runs on plain arrays
-through :func:`conv_forward`, the kernel under the :func:`conv2d` op.
+through :func:`conv_forward` and :func:`relu_forward`, the kernels under
+the :func:`conv2d` and :func:`relu` ops.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -101,7 +106,9 @@ class Tensor:
     ) -> "Tensor":
         """Result node of a primitive; ``vjp(grad_out)`` returns one
         gradient per parent, in parent order, or None for a parent that
-        takes no gradient."""
+        takes no gradient.  A vjp never writes into ``grad_out``, and it may
+        return ``grad_out`` itself or a view of it: :func:`backward` keeps
+        the arrays a vjp returns and writes into none of them."""
         parents = tuple(parents)
         graph = parents[0].graph
         for p in parents[1:]:
@@ -148,10 +155,16 @@ def backward(loss: Tensor, grads: GradientMap | None = None) -> GradientMap:
     buffers: dict[int, Array] = {}
 
     def accumulate(node: Tensor, grad: Array) -> None:
-        acc, key = (out, node.name) if node.name is not None else (buffers, node.node_id)
-        prev = acc.get(key)
+        if node.name is None:
+            # the vjp's own array, which may be shared or a view: a second
+            # contribution makes a new sum with the bits of ``+=``
+            prev = buffers.get(node.node_id)
+            buffers[node.node_id] = grad if prev is None else prev + grad
+            return
+        prev = out.get(node.name)
         if prev is None:
-            acc[key] = np.array(grad, dtype=np.float64)
+            # a copy: the map outlives this pass, and later passes add into it
+            out[node.name] = np.array(grad, dtype=np.float64)
         else:
             prev += grad
 
@@ -280,6 +293,24 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     return Tensor.op(out, (x, kernels, bias), vjp)
 
 
+def relu_forward(y: Array, out: Array | None = None) -> Array:
+    """Elementwise max(0, y) of a plain array, into ``out`` (which may be
+    ``y``) or a new array: the one ReLU kernel, serving both :func:`relu`
+    and graph-free inference.
+
+    The result has the bits of ``np.where(y > 0.0, y, 0.0)`` without a
+    branch on each element's sign.  IEEE ``fmax`` ignores NaN, returns
+    ``y`` where ``y > 0`` and a zero of either sign elsewhere; adding
+    ``+0.0`` then turns ``-0.0`` into ``+0.0`` and leaves every other value
+    as it is.  Neither shortcut keeps those bits: ``fmax`` alone may return
+    ``-0.0`` for ``y = -0.0`` (numpy's SIMD loop does), and ``np.maximum``
+    propagates NaN.
+    """
+    out = np.fmax(y, 0.0, out=out)
+    out += 0.0
+    return out
+
+
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x); the subgradient at exactly 0 is 0."""
     mask = x.values > 0.0
@@ -287,7 +318,7 @@ def relu(x: Tensor) -> Tensor:
     def vjp(g: Array) -> tuple[Array]:
         return (g * mask,)
 
-    return Tensor.op(np.where(mask, x.values, 0.0), (x,), vjp)
+    return Tensor.op(relu_forward(x.values), (x,), vjp)
 
 
 def log_softmax(logits: Tensor) -> Tensor:
@@ -353,7 +384,7 @@ def scale(a: Tensor, factor: float) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    if int(np.prod(shape, dtype=np.int64)) != a.values.size:
+    if math.prod(shape) != a.values.size:
         raise DimensionError(f"cannot reshape {a.shape} to {shape}")
     old = a.shape
 

@@ -774,6 +774,25 @@ class TestRunStore:
         assert path.read_bytes() == curves
         assert list(out.rglob("*.tmp")) == []
 
+    def test_all_hit_rerun_makes_no_failing_unlink(self, tmp_path, trained, monkeypatch):
+        config = tiny_config(tmp_path, regime="finetune")
+        run_experiment(config)
+        trained.clear()
+        failed = []
+        unlink = os.unlink
+
+        def checked_unlink(path, *args, **kwargs):
+            try:
+                return unlink(path, *args, **kwargs)
+            except OSError:
+                failed.append(os.fspath(path))
+                raise
+
+        monkeypatch.setattr(os, "unlink", checked_unlink)
+        run_experiment(config)
+        assert trained == []
+        assert failed == []
+
     def test_failed_replace_keeps_the_previous_file(self, tmp_path, monkeypatch):
         config = tiny_config(tmp_path)
         run_experiment(config)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ewclab.errors import ContractError, DimensionError, LabelError
+from ewclab.network import NetworkSpec, forward_heads, forward_logits, init_network, leaf_tensors
 from ewclab.tensor import (
     Graph,
     Tensor,
@@ -22,9 +23,11 @@ from ewclab.tensor import (
     matmul,
     nll_loss,
     relu,
+    relu_forward,
     reshape,
     scale,
 )
+from test_acceptance import _mlp_case
 
 
 def make(values, name=None, graph=None):
@@ -275,6 +278,69 @@ class TestRelu:
         assert grads["x"][0] == 0.0
 
 
+SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0]
+
+
+def assert_relu_bits(y):
+    """relu_forward, into a new array and in place, and the graph op all
+    give the bytes of the select they replace."""
+    expect = np.where(y > 0.0, y, 0.0).tobytes()
+    assert relu_forward(y).tobytes() == expect
+    assert relu(make(y)).values.tobytes() == expect
+    inplace = y.copy()
+    assert relu_forward(inplace, out=inplace) is inplace
+    assert inplace.tobytes() == expect
+
+
+class TestReluKernel:
+    def test_special_values_give_the_bytes_of_the_select(self):
+        y = np.array(SPECIAL)
+        assert_relu_bits(y)
+        out = relu_forward(y)
+        assert not np.signbit(out).any() and not np.isnan(out).any()
+
+    def test_fuzz_over_lengths_and_shapes(self):
+        # every length up to 1025 covers each SIMD loop's tail
+        rng = np.random.default_rng(18)
+        for n in range(1, 1026):
+            y = rng.normal(size=n)
+            y[rng.integers(0, n, size=1 + n // 8)] = rng.choice(SPECIAL, size=1 + n // 8)
+            assert_relu_bits(y)
+        for shape in [(1, 1, 1), (3, 5, 7), (12, 22, 22), (24, 7, 3)]:
+            y = rng.normal(size=shape)
+            y.reshape(-1)[rng.integers(0, y.size, size=y.size // 4)] = 0.0
+            y.reshape(-1)[rng.integers(0, y.size, size=y.size // 4)] = -0.0
+            assert_relu_bits(y)
+
+    def test_vjp_gives_the_bytes_of_the_masked_gradient(self):
+        rng = np.random.default_rng(19)
+        xv = rng.normal(size=(4, 9, 9))
+        xv.reshape(-1)[: len(SPECIAL)] = SPECIAL
+        g = rng.normal(size=xv.shape)
+        g.reshape(-1)[-len(SPECIAL) :] = SPECIAL
+        with np.errstate(invalid="ignore"):  # inf * 0 is NaN, as in g * mask
+            (dx,) = relu(make(xv, "x")).vjp(g)
+            assert dx.tobytes() == (g * (xv > 0.0)).tobytes()
+
+    def test_inference_matches_the_graph_on_exact_zeros(self):
+        # zero kernels make exact-zero conv outputs; biases of both signs
+        spec = NetworkSpec(in_channels=2, trunk=(6, 6, 4), heads={"taskA": 3})
+        store = init_network(spec, seed=18)
+        rng = np.random.default_rng(20)
+        for i in range(len(spec.trunk)):
+            kernels, bias = store[f"trunk.{i}.kernels"], store[f"trunk.{i}.bias"]
+            kernels[::2] = 0.0
+            bias[...] = rng.normal(size=bias.shape)
+            bias[::4] = -0.0
+            bias[2::4] = 0.0
+        patch = rng.normal(size=(2, 15, 13))
+        patch[:, ::3] = -0.0
+        graph = forward_logits(leaf_tensors(store, Graph()), spec, patch, "taskA").values
+        assert forward_heads(store, patch, ("taskA",))[0].tobytes() == graph.tobytes()
+        first = conv_forward(patch, store["trunk.0.kernels"], store["trunk.0.bias"])[0]
+        assert (first[::2] == 0.0).all()
+
+
 class TestLogSoftmax:
     def test_uniform_logits(self):
         out = log_softmax(make(np.zeros((4, 3)))).values
@@ -424,6 +490,105 @@ class TestBackward:
         assert l1.tobytes() == l2.tobytes()
         for k in g1:
             assert g1[k].tobytes() == g2[k].tobytes()
+
+
+def copying_backward(loss):
+    """The oracle for :func:`backward`: every gradient is copied on arrival
+    and later contributions are added into the copy in place."""
+    reachable, stack = {loss.node_id: loss}, [loss]
+    while stack:
+        for parent in stack.pop().parents:
+            if parent.node_id not in reachable:
+                reachable[parent.node_id] = parent
+                stack.append(parent)
+    grads = {loss.node_id: np.ones(())}
+    for node_id in sorted(reachable, reverse=True):
+        node = reachable[node_id]
+        if node.parents and node_id in grads:
+            for parent, pgrad in zip(node.parents, node.vjp(grads[node_id])):
+                if pgrad is None:
+                    continue
+                if parent.node_id in grads:
+                    grads[parent.node_id] += pgrad
+                else:
+                    grads[parent.node_id] = np.array(pgrad, dtype=np.float64)
+    return {p.name: grads.get(p.node_id, np.zeros_like(p.values)) for p in loss.graph.parameters()}
+
+
+def guard_vjps(loss) -> list[tuple[np.ndarray, bytes]]:
+    """Wrap the vjp of every node reachable from ``loss`` so that it
+    fails if it writes into its ``g``; returns every ``g`` seen with its
+    bytes, to check after the pass that nothing wrote into it later."""
+    seen = []
+
+    def checked(vjp):
+        def wrapper(g):
+            before = np.asarray(g).tobytes()
+            out = vjp(g)
+            assert np.asarray(g).tobytes() == before, "a vjp wrote into its g"
+            seen.append((g, before))
+            return out
+
+        return wrapper
+
+    visited, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if node.node_id not in visited:
+            visited.add(node.node_id)
+            if node.vjp is not None:
+                node.vjp = checked(node.vjp)
+            stack.extend(node.parents)
+    return seen
+
+
+def fan_out_loss():
+    """``add`` hands one array to both operands: the same node, or a named
+    leaf and a node the walk reaches after another contribution to that
+    leaf.  One node is also reshaped twice."""
+    rng = np.random.default_rng(21)
+    g = Graph()
+    x = Tensor.param("x", rng.normal(size=(2, 3)), g)
+    w = Tensor.param("w", rng.normal(size=(3, 2)), g)
+    y = relu(scale(x, 1.5))
+    late = scale(x, 5.0)
+    s = add(add(x, y), late)
+    s = add(s, s)
+    h = relu(matmul(x, w))
+    return add(dot(reshape(s, (6,)), reshape(x, (6,))), total(matmul(reshape(s, (3, 2)), h)))
+
+
+def patch_loss():
+    """One training patch's loss, as a training step builds it."""
+    rng = np.random.default_rng(22)
+    spec = NetworkSpec(in_channels=2, trunk=(4, 5), heads={"taskA": 3})
+    store = init_network(spec, seed=22)
+    for name in store:
+        if name.endswith("bias"):
+            store[name][...] = rng.normal(size=store[name].shape)
+    logits = forward_logits(leaf_tensors(store, Graph()), spec, rng.normal(size=(2, 10, 11)), "taskA")
+    k, n = logits.shape[0], logits.values.size // logits.shape[0]
+    return nll_loss(log_softmax(reshape(logits, (k, n))), rng.integers(0, k, size=n))
+
+
+class TestBackwardKeepsVjpArrays:
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: _mlp_case(np.random.default_rng(1000))[1](), fan_out_loss, patch_loss],
+        ids=["c1-mlp", "fan-out", "patch-loss"],
+    )
+    def test_bitwise_equal_to_the_copying_oracle(self, build):
+        loss = build()
+        seen = guard_vjps(loss)
+        expect = copying_backward(loss)
+        calls = len(seen)
+        got = backward(loss)
+        assert len(seen) == 2 * calls > 0
+        assert list(got) == list(expect)
+        for name in expect:
+            assert got[name].tobytes() == expect[name].tobytes(), name
+        for g, before in seen:
+            assert np.asarray(g).tobytes() == before
 
 
 class TestHelpers:
