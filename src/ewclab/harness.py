@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import metrics, network, svgplot, tensor
-from .atomic import read_file, write_text
+from .atomic import comma_list, decode_text, parse_field, read_fields, read_file, write_text
 from .continual import (
     REGIMES,
     RegimePlan,
@@ -172,14 +172,7 @@ def parse_config(path: str | Path | None = None, overrides: dict[str, str] | Non
         values[attr] = _parse_value(attr, raw, attrs[attr])
 
     if path is not None:
-        text = read_file(path, ConfigError, "config file").decode("utf-8")
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"malformed line {lineno} in {path}: {line!r}")
-            key, raw = stripped.split("=", 1)
+        for lineno, key, raw in read_fields(read_file(path, ConfigError, "config file"), ConfigError, str(path)):
             apply(key.strip(), raw, f"{path}:{lineno}")
     for key, raw in (overrides or {}).items():
         apply(key, raw, "command line")
@@ -232,8 +225,8 @@ def load_data(config: ExperimentConfig) -> tuple[SplitManifest, GeneratorConfig]
     validated: the data manifest's, or the config's own.  The one reader
     of the manifest; a command calls it once and passes its result on."""
     if config.data_manifest:
-        text = read_file(config.data_manifest, PrerequisiteError, "data manifest").decode("utf-8")
-        manifest, gen_config = parse_manifest(text)
+        data = read_file(config.data_manifest, PrerequisiteError, "data manifest")
+        manifest, gen_config = parse_manifest(data, config.data_manifest)
     else:
         counts = (config.train_a_count, config.train_b_count, config.val_count)
         manifest = make_splits(counts, config.data_seed)
@@ -594,9 +587,9 @@ def _write_run_dir(record: RunRecord, losses: list[tuple], config: ExperimentCon
 
 def read_metric_rows(path) -> tuple[list[MetricRow], list[str]]:
     """Rows of a metrics.csv or curves.csv, and the body lines they were
-    parsed from.  A missing file, a wrong header or a malformed row is a
-    config error naming the file (and line)."""
-    lines = read_file(path, ConfigError, "metric rows").decode("utf-8").splitlines()
+    parsed from.  A missing file, text that is not UTF-8, a wrong header
+    or a malformed row is a config error naming the file (and line)."""
+    lines = decode_text(read_file(path, ConfigError, "metric rows"), ConfigError, os.fspath(path)).splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"{path} does not carry the expected header")
     del lines[0]
@@ -618,21 +611,20 @@ def load_run_record(run_dir, run_id: str) -> RunRecord:
     row of another run are config errors naming the file (and line)."""
     run_dir = os.fspath(run_dir)
     path = os.path.join(run_dir, "record.txt")
-    fields_txt = {}
-    lines = read_file(path, ConfigError, "run record").decode("utf-8").splitlines()
-    for lineno, line in enumerate(lines, start=1):
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"{path}:{lineno}: malformed line {line!r}")
+    fields = {}
+    for lineno, key, value in read_fields(read_file(path, ConfigError, "run record"), ConfigError, path):
         if key == "run_id" and value != run_id:
             raise ConfigError(f"{path}:{lineno}: names run {value}, not {run_id}")
-        fields_txt[key] = value
-    try:
-        ident = (fields_txt["run_id"], fields_txt["regime"], float(fields_txt["lambda"]), int(fields_txt["seed"]))
-        splits_used = tuple(s for s in fields_txt["splits_used"].split(",") if s)
-        duration_s = float(fields_txt["duration_s"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"{path}: missing or malformed key ({exc})") from None
+        fields[key] = value
+    # direct calls, not a partial: an all-hit re-run reads every run's record
+    ident = (
+        parse_field(fields, ConfigError, path, "run_id", str),
+        parse_field(fields, ConfigError, path, "regime", str),
+        parse_field(fields, ConfigError, path, "lambda", float),
+        parse_field(fields, ConfigError, path, "seed", int),
+    )
+    splits_used = parse_field(fields, ConfigError, path, "splits_used", comma_list(str))
+    duration_s = parse_field(fields, ConfigError, path, "duration_s", float)
     metrics_path = os.path.join(run_dir, "metrics.csv")
     rows, lines = read_metric_rows(metrics_path)
     for lineno, row in enumerate(rows, start=2):

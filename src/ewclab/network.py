@@ -18,11 +18,12 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .atomic import atomic_open, read_file
+from .atomic import atomic_open, comma_list, decode_text, parse_field, read_fields, read_file
 from .errors import AlignmentError, DimensionError, FormatError, HeadError, PrerequisiteError
 from .tensor import Graph, GradientMap, Tensor, conv2d, conv_forward, relu, relu_forward
 
@@ -282,12 +283,13 @@ def _dump_header(spec: NetworkSpec, n_entries: int, metadata: dict[str, str], fi
             f"fisher_dataset={prov.dataset_id}",
             f"fisher_samples={prov.samples}",
         ]
-    for key in metadata:
+    for key, value in metadata.items():
         if key in RESERVED_HEADER_KEYS:
             raise FormatError(f"metadata key {key!r} is reserved by the checkpoint format")
-        if "=" in key or "\n" in key or "\n" in str(metadata[key]):
-            raise FormatError(f"metadata key/value must be single-line without '=': {key!r}")
-        lines.append(f"{key}={metadata[key]}")
+        line = f"{key}={value}"
+        if list(read_fields(line.encode("utf-8"), FormatError, f"metadata {line!r}")) != [(1, key, str(value))]:
+            raise FormatError(f"metadata {line!r} would not read back as key {key!r}, value {value!r}")
+        lines.append(line)
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -351,9 +353,10 @@ class _Reader:
         return struct.unpack("<I", self.take(4, what))[0]
 
 
-def _read_entry(r: _Reader) -> tuple[str, Array]:
+def _read_entry(r: _Reader, path) -> tuple[str, Array]:
     name_len = r.u32("entry name length")
-    name = r.take(name_len, "entry name").decode("utf-8")
+    error = partial(FormatError, offset=r.pos)
+    name = decode_text(r.take(name_len, "entry name"), error, f"{path} entry name")
     rank = r.u8(f"rank of {name!r}")
     dims = tuple(r.u32(f"dim {i} of {name!r}") for i in range(rank))
     count = math.prod(dims)  # a Python int: a huge count cannot wrap, so it reads as truncation
@@ -361,36 +364,9 @@ def _read_entry(r: _Reader) -> tuple[str, Array]:
     return name, np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
 
 
-def _parse_header(text: str) -> dict[str, str]:
-    fields: dict[str, str] = {}
-    for line in text.splitlines():
-        if not line:
-            continue
-        if "=" not in line:
-            raise FormatError(f"malformed header line {line!r}")
-        key, value = line.split("=", 1)
-        fields[key] = value
-    return fields
-
-
-def _parse_heads(text: str) -> dict[str, int]:
-    heads = {}
-    for part in filter(None, text.split(",")):
-        name, classes = part.split(":")
-        heads[name] = int(classes)
-    return heads
-
-
-def _header_value(header: dict[str, str], key: str, parse, default: str | None = None):
-    """``parse`` of the header's ``key`` (or of ``default`` when absent);
-    a value it cannot parse raises :class:`FormatError` naming the key."""
-    text = header.get(key, default)
-    if text is None:
-        raise FormatError(f"header missing {key!r}")
-    try:
-        return parse(text)
-    except ValueError:
-        raise FormatError(f"unparsable header value {key}={text!r}") from None
+def _parse_head(part: str) -> tuple[str, int]:
+    name, classes = part.split(":")
+    return name, int(classes)
 
 
 def _check_layout(store: ParamStore, expected: Mapping[str, tuple[int, ...]], where: str, against: str) -> None:
@@ -407,11 +383,10 @@ def _check_layout(store: ParamStore, expected: Mapping[str, tuple[int, ...]], wh
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; a missing file raises :class:`PrerequisiteError`,
-    and bad magic, version, header values, entries other than those the
-    header's network spec implies, a Fisher payload whose entries are not
-    the parameters' names and shapes, or truncation raise
-    :class:`FormatError` (with the failing byte offset where there is
-    one)."""
+    and bad magic, version, header lines or values, an entry name that is
+    not UTF-8, entries other than those the header's network spec implies,
+    a Fisher payload unlike the parameters' names and shapes, or truncation
+    raise :class:`FormatError` (with the failing byte offset if there is one)."""
     data = read_file(path, PrerequisiteError, "checkpoint")
     r = _Reader(data)
     magic = r.take(4, "magic")
@@ -421,26 +396,28 @@ def load_checkpoint(path) -> Checkpoint:
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported version {version}", offset=4)
     header_len = r.u32("header length")
-    header = _parse_header(r.take(header_len, "header").decode("utf-8"))
+    where = f"{path} header"
+    header = {key: value for _, key, value in read_fields(r.take(header_len, "header"), FormatError, where)}
+    field = partial(parse_field, header, FormatError, where)
     spec = NetworkSpec(
-        in_channels=_header_value(header, "in_channels", int),
-        trunk=_header_value(header, "trunk", lambda text: tuple(int(w) for w in text.split(",") if w)),
-        heads=_header_value(header, "heads", _parse_heads),
+        in_channels=field("in_channels", int),
+        trunk=field("trunk", comma_list(int)),
+        heads=field("heads", lambda text: dict(comma_list(_parse_head)(text))),
     )
     store = ParamStore(spec=spec)
-    for _ in range(_header_value(header, "entries", int)):
-        store.add(*_read_entry(r))
+    for _ in range(field("entries", int)):
+        store.add(*_read_entry(r, path))
     shapes = entry_shapes(spec)
     _check_layout(store, shapes, "the file", "the header's network spec")
 
     fisher = None
     if "fisher_entries" in header:
-        expected = _header_value(header, "fisher_entries", int)
+        expected = field("fisher_entries", int)
         provenance = FisherProvenance(
             dataset_id=header.get("fisher_dataset", ""),
             head=header.get("fisher_head", ""),
             mode=header.get("fisher_mode", ""),
-            samples=_header_value(header, "fisher_samples", int, default="0"),
+            samples=field("fisher_samples", int, default="0"),
         )
         sentinel = r.take(len(FISHER_SENTINEL), "fisher sentinel")
         if sentinel != FISHER_SENTINEL:
@@ -452,7 +429,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise FormatError(f"fisher entry count {count} != header {expected}")
         importance = ParamStore()
         for _ in range(count):
-            importance.add(*_read_entry(r))
+            importance.add(*_read_entry(r, path))
         _check_layout(importance, shapes, "the Fisher payload", "the parameters")
         fisher = FisherDiagonal(importance, provenance)
     if r.pos != len(data):

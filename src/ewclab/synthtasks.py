@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 import numpy as np
 
-from .atomic import atomic_open, write_text
+from .atomic import atomic_open, comma_list, parse_field, read_fields, write_text
 from .errors import ConfigError, DataError, DegenerateInputError, FormatError
 
 Array = np.ndarray
@@ -237,39 +238,25 @@ def manifest_text(manifest: SplitManifest, config: GeneratorConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_manifest(text: str) -> tuple[SplitManifest, GeneratorConfig]:
-    fields: dict[str, str] = {}
-    for line in text.splitlines():
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise FormatError(f"malformed manifest line {line!r}")
-        key, value = line.split("=", 1)
-        fields[key] = value
+# manifest key -> the generator setting it holds, and a parser into its default's type
+_GENERATOR_KEYS = {
+    f"generator.{key}": (key, comma_list(type(default[0])) if isinstance(default, tuple) else type(default))
+    for key, default in vars(GeneratorConfig()).items()
+}
 
-    def parse(key: str, like):
-        """``fields[key]`` cast to the type of ``like``; for a tuple, a
-        comma list cast item by item."""
-        try:
-            if isinstance(like, tuple):
-                return tuple(type(like[0])(v) for v in fields[key].split(",") if v != "")
-            return type(like)(fields[key])
-        except (KeyError, ValueError) as exc:
-            raise FormatError(f"manifest key {key!r} missing or malformed ({exc})") from None
 
+def parse_manifest(data: bytes, where: str) -> tuple[SplitManifest, GeneratorConfig]:
+    """The splits and generator settings of the manifest ``data`` read
+    from ``where``; a malformed manifest raises :class:`FormatError`."""
+    fields = {key: value for _, key, value in read_fields(data, FormatError, where)}
+    field = partial(parse_field, fields, FormatError, where)
     config = GeneratorConfig(**{
-        key: parse(f"generator.{key}", default)
-        for key, default in vars(GeneratorConfig()).items()
-        if f"generator.{key}" in fields
+        name: field(key, parse) for key, (name, parse) in _GENERATOR_KEYS.items() if key in fields
     })
-    manifest = SplitManifest(
-        train_a=parse("train_a_seeds", (0,)),
-        train_b=parse("train_b_seeds", (0,)),
-        validation=parse("validation_seeds", (0,)),
-        master_seed=parse("master_seed", 0),
-    )
+    seeds = [field(f"{split}_seeds", comma_list(int)) for split in SPLITS]
+    manifest = SplitManifest(*seeds, field("master_seed", int))
     if fields.get("config_hash") not in (None, config.digest()):
-        raise FormatError("manifest config_hash does not match its generator fields")
+        raise FormatError(f"{where}: config_hash does not match its generator fields")
     return manifest, config
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -372,3 +374,124 @@ def test_cli_prints_utf8_under_an_ascii_locale(tmp_path):
         summary = (tmp_path / "summary.txt").read_bytes()
         assert "L2 λ=0.5".encode("utf-8") in summary
         assert done.stdout.endswith(summary + (b"\n" if argv[0] == "run-experiment" else b""))
+
+
+# ---------------------------------------------------------------------------
+# key=value files: config files, run records, checkpoint headers and data
+# manifests share one reader; text that is not UTF-8 is an error
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def finished_sweep(tmp_path_factory):
+    """A completed one-run sweep: its manifest, run record, rows, curves
+    and final checkpoint."""
+    out = tmp_path_factory.mktemp("sweep")
+    assert run(["run-experiment", "--regime", "dm-a", "--out", str(out)] + TINY) == 0
+    return out
+
+
+@pytest.fixture
+def lab(finished_sweep, tmp_path):
+    """A copy of the finished sweep, with a config file that re-runs it:
+    each key=value kind -> (its file, the command that reads it, the exit
+    code of its errors)."""
+    out = tmp_path / "out"
+    shutil.copytree(finished_sweep, out)
+    run_dir = next((out / "runs").iterdir())
+    config = out / "sweep.cfg"
+    settings = dict(zip((flag[2:].replace("-", "_") for flag in TINY[::2]), TINY[1::2]))
+    settings.update(regime="dm-a", out_dir=str(out))
+    config.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+    rerun = ["run-experiment", "--regime", "dm-a", "--out", str(out)] + TINY
+    return {
+        "config": (config, ["run-experiment", "--config", str(config)], 2),
+        "record": (run_dir / "record.txt", rerun, 2),
+        "checkpoint": (run_dir / "final.ckpt",
+                       ["evaluate", "--checkpoint", str(run_dir / "final.ckpt"), "--out", str(out)] + TINY, 1),
+        "manifest": (out / "manifest.txt",
+                     ["generate-data", "--data-manifest", str(out / "manifest.txt"), "--out", str(out)] + TINY, 1),
+    }
+
+
+def edit_lines(path, edit):
+    """Rewrite the key=value lines of ``path`` (of a checkpoint, its
+    header's, fixing up the header length) as ``edit`` returns them."""
+    data = path.read_bytes()
+    start, end = 0, len(data)
+    if path.suffix == ".ckpt":
+        (size,) = struct.unpack("<I", data[5:9])
+        start, end = 9, 9 + size
+    text = "".join(line + "\n" for line in edit(data[start:end].decode("utf-8").splitlines())).encode("utf-8")
+    head = data[:5] + struct.pack("<I", len(text)) if start else b""
+    path.write_bytes(head + text + data[end:])
+
+
+# per format: a required key, and a key given a value it cannot parse (a
+# config file has no required key)
+REQUIRED_KEY = {"config": None, "record": "duration_s", "checkpoint": "entries", "manifest": "train_a_seeds"}
+TYPED_KEY = {"config": "epochs", "record": "seed", "checkpoint": "in_channels", "manifest": "master_seed"}
+KINDS = list(REQUIRED_KEY)
+
+
+class TestKeyValueFiles:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_blank_and_comment_lines_are_skipped(self, lab, capsys, kind):
+        path, argv, _ = lab[kind]
+        assert run(argv) == 0
+        before = capsys.readouterr().out
+        edit_lines(path, lambda lines: ["# a comment", "", *lines[:2], "   ", "  # note = x", *lines[2:], ""])
+        assert run(argv) == 0, capsys.readouterr().err
+        assert capsys.readouterr().out == before
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_line_without_equals_names_the_file_and_line(self, lab, capsys, kind):
+        path, argv, code = lab[kind]
+        edit_lines(path, lambda lines: [lines[0], "stray", *lines[1:]])
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " if code == 2 else "error: ")
+        assert str(path) in err and ":2: malformed line 'stray'" in err
+
+    @pytest.mark.parametrize("kind", [kind for kind in KINDS if REQUIRED_KEY[kind]])
+    def test_a_missing_key_is_named(self, lab, capsys, kind):
+        path, argv, code = lab[kind]
+        key = REQUIRED_KEY[kind]
+        edit_lines(path, lambda lines: [line for line in lines if not line.startswith(f"{key}=")])
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert str(path) in err and f"missing key {key!r}" in err
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_an_unparsable_value_names_the_key(self, lab, capsys, kind):
+        path, argv, code = lab[kind]
+        key = TYPED_KEY[kind]
+        edit_lines(path, lambda lines: [
+            f"{key}=x" if line.partition("=")[0].strip() == key else line for line in lines
+        ])
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert f"{key!r}" in err and "cannot parse 'x'" in err
+
+    @pytest.mark.parametrize("kind,damage", [
+        ("config", lambda data: data + "# caf\xe9\n".encode("latin-1")),
+        ("record", lambda data: data + b"note=\xff\n"),
+        ("manifest", lambda data: data + b"# \xff\n"),
+        ("curves", lambda data: data + b"\xff\n"),
+        ("checkpoint", lambda data: data.replace(b"regime=dm-a", b"regime=dm-\xff", 1)),
+        ("entry-name", lambda data: data.replace(b"trunk.0.bias", b"trunk.0.bia\xff", 1)),
+    ], ids=["config", "record", "manifest", "curves", "checkpoint-header", "checkpoint-entry-name"])
+    def test_text_that_is_not_utf8_is_an_error_not_a_traceback(self, lab, kind, damage):
+        out = lab["config"][0].parent
+        path, argv, code = {
+            **lab,
+            "curves": (out / "curves.csv", ["report", "--out", str(out)], 2),
+            "entry-name": lab["checkpoint"],
+        }[kind]
+        path.write_bytes(damage(path.read_bytes()))
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-m", "ewclab", *argv], env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == code, done.stderr
+        assert "Traceback" not in done.stderr
+        assert str(path) in done.stderr and "not UTF-8" in done.stderr

@@ -297,6 +297,21 @@ class TestCheckpoint:
             save_checkpoint(store, tmp_path / "x.ckpt", metadata={"entries": "1"})
 
     @pytest.mark.parametrize("key,value", [
+        ("note", "a\nb"), ("note", "a\rb"), ("note", "a\x85b"), ("note", "a\u2028b"), ("a=b", "c"), ("#note", "c"),
+    ], ids=["newline", "carriage-return", "next-line", "line-separator", "equals-in-key", "comment-key"])
+    def test_metadata_that_would_not_read_back_is_refused_before_any_file(self, tmp_path, key, value):
+        store = init_network(small_spec(), seed=7)
+        with pytest.raises(FormatError, match="metadata"):
+            save_checkpoint(store, tmp_path / "x.ckpt", metadata={key: value})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_metadata_reads_back_as_itself(self, tmp_path):
+        metadata = {" spaced ": " a=b ", "note#": "#x", "": ""}
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(init_network(small_spec(), seed=7), path, metadata=metadata)
+        assert load_checkpoint(path).metadata == metadata
+
+    @pytest.mark.parametrize("key,value", [
         ("in_channels", "two"), ("trunk", "a"), ("heads", "taskA"), ("heads", "taskA:x"),
         ("entries", "abc"), ("fisher_entries", "4x"), ("fisher_samples", "x"),
     ])

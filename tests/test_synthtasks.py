@@ -115,7 +115,7 @@ class TestDatasetFiles:
     def test_manifest_round_trip(self):
         m = make_splits((3, 3, 2), 17)
         text = manifest_text(m, CONFIG)
-        m2, config2 = parse_manifest(text)
+        m2, config2 = parse_manifest(text.encode(), "manifest.txt")
         assert m2 == m
         assert config2 == CONFIG
 
@@ -123,7 +123,7 @@ class TestDatasetFiles:
         m = make_splits((2, 2, 2), 17)
         text = manifest_text(m, CONFIG).replace(f"config_hash={CONFIG.digest()}", "config_hash=deadbeef")
         with pytest.raises(FormatError, match="config_hash"):
-            parse_manifest(text)
+            parse_manifest(text.encode(), "manifest.txt")
 
     def test_image_export(self, tmp_path):
         m = make_splits((1, 1, 1), 5)
