@@ -50,8 +50,9 @@ def read_fields(data: bytes, error: type[EwcLabError], where: str) -> Iterator[t
 
 
 def comma_list(cast):
-    """A parser of a comma list into the tuple of its non-empty items, cast."""
-    return lambda text: tuple(map(cast, filter(None, text.split(","))))
+    """A parser of a comma list into the tuple of its items, each stripped
+    of surrounding whitespace and cast; empty items are dropped."""
+    return lambda text: tuple(map(cast, filter(None, map(str.strip, text.split(",")))))
 
 
 def parse_field(fields: Mapping[str, str], error: type[EwcLabError], where: str, key: str, parse,

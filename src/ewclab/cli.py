@@ -16,7 +16,7 @@ from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 from . import harness, metrics, network
-from .continual import REGIMES, build_regime, canonical_regime, load_task_a_checkpoint
+from .continual import build_regime, canonical_regime, load_task_a_checkpoint
 from .errors import ConfigError, DivergenceError, EwcLabError, PrerequisiteError
 from .harness import (
     ExperimentConfig,
@@ -84,7 +84,7 @@ def cmd_train(args) -> int:
     if len(config.regimes) != 1:
         raise ConfigError("train needs exactly one regime (e.g. --regime ewc)")
     kind = canonical_regime(config.regimes[0])
-    lam = config.grid_for(kind)[0] if REGIMES[kind].penalty else 0.0
+    lam = config.grid_for(kind)[0]
     seed = config.seeds[0]
     data = load_data(config)
     plan = build_regime(kind, lam, seed, config.checkpoint or None, trunk=tuple(config.trunk))

@@ -47,10 +47,10 @@ def score_samples(
     rng_seed: int = 0,
 ) -> Iterator[dict[str, Array]]:
     """Per-sample scores: the gradient of each sample's mean per-pixel
-    log-likelihood, as one ``{name: array}`` map over every store entry
-    in store order.  ``data`` yields (patch, label map) pairs; in
-    ``sampled`` mode the given labels are ignored and fresh ones are
-    drawn per pixel.
+    log-likelihood, as one ``{name: array}`` map over the store entries
+    that likelihood reaches (the trunk and ``head``; another head has no
+    entry).  ``data`` yields (patch, label map) pairs; in ``sampled``
+    mode the given labels are ignored and fresh ones are drawn per pixel.
     """
     if len(data) == 0:
         raise DataError("cannot estimate Fisher information from an empty dataset")
@@ -82,8 +82,8 @@ def estimate_fisher(
     dataset_id: str = "",
 ) -> FisherDiagonal:
     """Average squared per-sample score, accumulated in ascending sample
-    order: F_i = (1/M) * sum_m g_{m,i}^2.  Deterministic given inputs and
-    seed."""
+    order: F_i = (1/M) * sum_m g_{m,i}^2, zero for an entry no score
+    reaches.  Deterministic given inputs and seed."""
     sumsq = {name: np.zeros_like(values) for name, values in params.items()}
     count = 0
     for score in score_samples(params, data, head, mode, rng_seed):
@@ -109,7 +109,8 @@ def ewc_penalty(
 ) -> Tensor:
     """lam * sum_i F_i (theta_i - anchor_i)^2 over anchored entries, as a
     differentiable scalar; parameters without an anchor entry (a new task
-    head) contribute nothing and receive an exactly-zero gradient.
+    head) contribute nothing and are not among the penalty's parents, so
+    a backward pass of the penalty gives them no gradient entry.
 
     The gradient w.r.t. theta is exactly 2 * lam * F * (theta - anchor).
     ``fisher`` and ``leaves`` hold an entry of the anchor's shape for each

@@ -91,9 +91,10 @@ class ExperimentConfig:
     tile: int = 0
 
     def grid_for(self, kind: str) -> tuple[float, ...]:
-        """Lambda grid for a regime: the config's list when given, else
-        the regime's default grid."""
-        return self.lambdas or REGIMES[kind].lambdas
+        """Lambda grid for a regime: ``(0.0,)`` for one without a penalty,
+        else the config's list when given, else the regime's default grid."""
+        regime = REGIMES[kind]
+        return (self.lambdas or regime.lambdas) if regime.penalty else (0.0,)
 
     def validate(self) -> None:
         for key in ("epochs", "batch_size", "image_size", "train_a_count", "train_b_count",
@@ -147,11 +148,8 @@ def _parse_value(attr: str, raw: str, default):
     raw = raw.strip()
     try:
         if isinstance(default, tuple):
-            items = [v.strip() for v in raw.split(",") if v.strip() != ""]
-            if attr == "regimes":
-                return tuple(canonical_regime(v) for v in items)
-            cast = float if attr == "lambdas" else int
-            return tuple(cast(v) for v in items)
+            cast = canonical_regime if attr == "regimes" else float if attr == "lambdas" else int
+            return comma_list(cast)(raw)
         return type(default)(raw)
     except (ValueError, ContractError) as exc:
         key = _ATTR_TO_KEY.get(attr, attr)
@@ -710,9 +708,8 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
     for kind, regime in REGIMES.items():  # the table lists the task-A run first
         if kind not in requested:
             continue
-        lams = config.grid_for(kind) if regime.penalty else (0.0,)
         seeds = config.seeds if regime.per_seed else config.seeds[:1]
-        for lam in lams:
+        for lam in config.grid_for(kind):
             for seed in seeds:
                 # a sequential sweep cannot proceed without the task-A run
                 record = ensure(kind, lam, seed, checkpoint, critical=kind == "dm-a" and sequential)

@@ -9,7 +9,6 @@ class absent from both prediction and reference is *undefined*, not 0 or
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -139,26 +138,13 @@ def evaluate_full(
     }
 
 
-def evaluate_model(
-    store: ParamStore,
-    head: str,
-    task: TaskDef,
-    samples,
-    scope: str,
-    tile: int = 0,
-) -> dict[str, float]:
-    """Pooled Dice per foreground class name over a sample set, in class
-    order.
-
-    scope 'patch': ``samples`` are (patch, truth window) pairs whose truth
-    already matches the network's output window.  scope 'full':
-    ``samples`` are :class:`ScanSample`, scored as by
-    :func:`evaluate_full` through ``head``.  Undefined classes are
-    excluded from the result.
+def evaluate_model(store: ParamStore, head: str, task: TaskDef, samples, scope: str) -> dict[str, float]:
+    """Pooled Dice per foreground class name over (patch, truth window)
+    pairs, whose truth already matches the network's output window, in
+    class order; undefined classes are excluded.  ``scope`` must be
+    ``'patch'``: full images are scored by :func:`evaluate_full`.
     """
-    if scope not in ("patch", "full"):
+    if scope != "patch":
         raise DimensionError(f"unknown scope {scope!r}")
-    if scope == "full":
-        return evaluate_full(store, [replace(task, head=head)], samples, tile)[task.task_id]
     pairs = ((forward_heads(store, patch, (head,))[0].argmax(axis=0), truth) for patch, truth in samples)
     return _class_scores(task, pooled_dice(pairs, task.n_classes))

@@ -7,10 +7,11 @@ same shared representation.  Parameters live in a :class:`ParamStore`, a
 name -> array map in insertion order; the task-A anchor and the Fisher
 importances are stores too, matched to the parameters by name.  Training
 and the Fisher estimate build a computation graph with
-:func:`forward_logits`, which holds a leaf per store entry, so a gradient
-map always covers the whole store.  Inference (:func:`forward_heads`)
-builds no graph: it runs the same conv kernel on the store's arrays, the
-trunk once for all the heads it scores.
+:func:`forward_logits` on a leaf per store entry; a gradient map holds the
+entries its loss reaches, and an update lets the others coast.  Inference
+(:func:`forward_heads`)
+builds no graph: it runs the same conv kernel on the store's arrays,
+the trunk once for all the heads it scores.
 """
 
 from __future__ import annotations
@@ -195,8 +196,8 @@ def attach_head(store: ParamStore, head_name: str, classes: int, seed: int) -> P
 
 
 def leaf_tensors(store: ParamStore, graph: Graph) -> dict[str, Tensor]:
-    """Named leaf tensors for every store entry, in store order, so the
-    gradient map of any loss on ``graph`` covers the whole store."""
+    """Named leaf tensors for every store entry, in store order; a loss's
+    gradient map holds the entries that loss reaches."""
     return {name: Tensor.param(name, values, graph) for name, values in store.items()}
 
 
@@ -335,13 +336,18 @@ def save_checkpoint(
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, path):
         self.data = data
+        self.path = path
         self.pos = 0
+
+    def error(self, message: str, offset: int | None = None) -> FormatError:
+        """A :class:`FormatError` naming the file read."""
+        return FormatError(f"{self.path}: {message}", offset=offset)
 
     def take(self, n: int, what: str) -> bytes:
         if self.pos + n > len(self.data):
-            raise FormatError(f"truncated checkpoint while reading {what}", offset=self.pos)
+            raise self.error(f"truncated checkpoint while reading {what}", self.pos)
         chunk = self.data[self.pos : self.pos + n]
         self.pos += n
         return chunk
@@ -353,10 +359,10 @@ class _Reader:
         return struct.unpack("<I", self.take(4, what))[0]
 
 
-def _read_entry(r: _Reader, path) -> tuple[str, Array]:
+def _read_entry(r: _Reader) -> tuple[str, Array]:
     name_len = r.u32("entry name length")
     error = partial(FormatError, offset=r.pos)
-    name = decode_text(r.take(name_len, "entry name"), error, f"{path} entry name")
+    name = decode_text(r.take(name_len, "entry name"), error, f"{r.path} entry name")
     rank = r.u8(f"rank of {name!r}")
     dims = tuple(r.u32(f"dim {i} of {name!r}") for i in range(rank))
     count = math.prod(dims)  # a Python int: a huge count cannot wrap, so it reads as truncation
@@ -369,13 +375,14 @@ def _parse_head(part: str) -> tuple[str, int]:
     return name, int(classes)
 
 
-def _check_layout(store: ParamStore, expected: Mapping[str, tuple[int, ...]], where: str, against: str) -> None:
-    """A :class:`FormatError` naming the first entry whose name or shape in
-    ``store`` (read from ``where``) differs from ``expected``."""
+def _check_layout(store: ParamStore, expected: Mapping[str, tuple[int, ...]], where: str, against: str,
+                  error=FormatError) -> None:
+    """``error`` (a :class:`FormatError`) naming the first entry whose name
+    or shape in ``store`` (read from ``where``) differs from ``expected``."""
     found = {name: values.shape for name, values in store.items()}
     if found != expected:
         name = next(n for n in {**found, **expected} if found.get(n) != expected.get(n))
-        raise FormatError(
+        raise error(
             f"entry {name!r}: {found.get(name, 'missing')} in {where}, "
             f"{expected.get(name, 'none')} in {against}"
         )
@@ -383,18 +390,20 @@ def _check_layout(store: ParamStore, expected: Mapping[str, tuple[int, ...]], wh
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; a missing file raises :class:`PrerequisiteError`,
-    and bad magic, version, header lines or values, an entry name that is
-    not UTF-8, entries other than those the header's network spec implies,
-    a Fisher payload unlike the parameters' names and shapes, or truncation
-    raise :class:`FormatError` (with the failing byte offset if there is one)."""
+    and bad magic, version, header lines or values, a network spec that
+    :meth:`NetworkSpec.validate` rejects, an entry name that is not UTF-8,
+    entries other than those the header's network spec implies, a Fisher
+    payload unlike the parameters' names and shapes, or truncation raise
+    :class:`FormatError` naming the file (and the failing byte offset if
+    there is one)."""
     data = read_file(path, PrerequisiteError, "checkpoint")
-    r = _Reader(data)
+    r = _Reader(data, path)
     magic = r.take(4, "magic")
     if magic != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}", offset=0)
+        raise r.error(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}", 0)
     version = r.u8("version")
     if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported version {version}", offset=4)
+        raise r.error(f"unsupported version {version}", 4)
     header_len = r.u32("header length")
     where = f"{path} header"
     header = {key: value for _, key, value in read_fields(r.take(header_len, "header"), FormatError, where)}
@@ -404,11 +413,15 @@ def load_checkpoint(path) -> Checkpoint:
         trunk=field("trunk", comma_list(int)),
         heads=field("heads", lambda text: dict(comma_list(_parse_head)(text))),
     )
+    try:
+        spec.validate()
+    except (DimensionError, HeadError) as exc:
+        raise FormatError(f"{where}: {exc}") from None
     store = ParamStore(spec=spec)
     for _ in range(field("entries", int)):
-        store.add(*_read_entry(r, path))
+        store.add(*_read_entry(r))
     shapes = entry_shapes(spec)
-    _check_layout(store, shapes, "the file", "the header's network spec")
+    _check_layout(store, shapes, "the file", "the header's network spec", r.error)
 
     fisher = None
     if "fisher_entries" in header:
@@ -421,19 +434,17 @@ def load_checkpoint(path) -> Checkpoint:
         )
         sentinel = r.take(len(FISHER_SENTINEL), "fisher sentinel")
         if sentinel != FISHER_SENTINEL:
-            raise FormatError(
-                f"bad fisher sentinel {sentinel!r}", offset=r.pos - len(FISHER_SENTINEL)
-            )
+            raise r.error(f"bad fisher sentinel {sentinel!r}", r.pos - len(FISHER_SENTINEL))
         count = r.u32("fisher entry count")
         if count != expected:
-            raise FormatError(f"fisher entry count {count} != header {expected}")
+            raise r.error(f"fisher entry count {count} != header {expected}")
         importance = ParamStore()
         for _ in range(count):
-            importance.add(*_read_entry(r, path))
-        _check_layout(importance, shapes, "the Fisher payload", "the parameters")
+            importance.add(*_read_entry(r))
+        _check_layout(importance, shapes, "the Fisher payload", "the parameters", r.error)
         fisher = FisherDiagonal(importance, provenance)
     if r.pos != len(data):
-        raise FormatError(f"{len(data) - r.pos} trailing bytes", offset=r.pos)
+        raise r.error(f"{len(data) - r.pos} trailing bytes", r.pos)
     metadata = {k: v for k, v in header.items() if k not in RESERVED_HEADER_KEYS}
     return Checkpoint(params=store, metadata=metadata, fisher=fisher)
 

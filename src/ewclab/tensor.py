@@ -3,18 +3,18 @@
 Every :class:`Tensor` is a node of one :class:`Graph`, created either as a
 leaf (named parameter or unnamed constant) or as the output of a
 primitive operation that keeps its parents and its backward rule.  The
-graph itself holds no operation nodes: it numbers nodes in creation order
-and lists its named leaves, so a loss's arrays are freed as soon as the
-loss is dropped.  A backward pass walks the nodes reachable from the loss
-in descending creation number, which is always a valid topological order,
-and adds each node's gradient contributions in that fixed order, so
-repeated passes are bit-identical.  A node's gradient is the array its
-backward rule returned until a second contribution makes a new sum; only
-a named leaf's gradient is copied, into the map the pass returns.  A pass
-can also add into a gradient map that earlier passes filled: a sum of
-terms on one graph then runs term by term, each term's arrays dropped
-before the next is built, with the bits of one pass over the sum when the
-terms run in the order that pass would reach them.
+graph itself holds no nodes: it only numbers them in creation order, so
+a loss's arrays are freed as soon as the loss is dropped.  A backward
+pass walks the nodes reachable from the loss in descending creation
+number, which is always a valid topological order, and adds each node's
+gradient contributions in that fixed order, so repeated passes are
+bit-identical.  A node's gradient is the array its backward rule
+returned until a second contribution makes a new sum; only a named
+leaf's gradient is copied, into the gradient map the pass adds into.  A
+named leaf the loss does not reach has no entry in that map.  A sum of
+terms on one graph can run term by term into one map, each term's
+arrays dropped before the next is built, with the bits of one pass over
+the sum when the terms run in the order that pass would reach them.
 
 Only the operations a small patch-based segmentation network needs are
 provided; there is no broadcasting, no GPU path and no higher-order
@@ -43,24 +43,18 @@ CORE_VERSION = 2
 
 
 class Graph:
-    """Creation counter and named leaves of one computation.
+    """Creation counter of one computation.
 
-    Operation nodes are reachable only from their children, never from
-    the graph, so nothing keeps a dropped loss's arrays alive.
+    Nodes are reachable only from their children, never from the graph,
+    so nothing keeps a dropped loss's arrays alive.
     """
 
     def __init__(self):
         self._count = 0
-        self._params: list[Tensor] = []
 
     def _register(self, node: "Tensor") -> int:
-        if node.name is not None:
-            self._params.append(node)
         self._count += 1
         return self._count - 1
-
-    def parameters(self) -> list["Tensor"]:
-        return list(self._params)
 
 
 class Tensor:
@@ -90,7 +84,8 @@ class Tensor:
 
     @staticmethod
     def param(name: str, values: Array, graph: Graph) -> "Tensor":
-        """Named leaf; its gradient appears in the backward result."""
+        """Named leaf; a backward pass that reaches it adds its gradient
+        into the map under ``name``."""
         return Tensor(values, graph, name=name)
 
     @staticmethod
@@ -126,16 +121,14 @@ class Tensor:
 
 
 def backward(loss: Tensor, grads: GradientMap | None = None) -> GradientMap:
-    """Reverse-mode gradients of a scalar loss for the named parameters on
-    the loss's graph.
+    """Add the reverse-mode gradients of a scalar loss for the named
+    parameters it reaches into ``grads`` (a fresh map when None), and
+    return that map.
 
-    Without ``grads``, the result maps every named parameter of the graph
-    to its gradient, all-zero for one the loss does not reach.  With
-    ``grads``, the loss's gradients are added into that map, which is
-    returned: an entry's first contribution is stored as it is, later ones
-    are added with ``+=``, and entries the loss does not reach are left
-    alone (an absent one stays absent).  Contributions arrive in the order
-    the walk visits the nodes reachable from the loss, descending creation
+    An entry's first contribution is stored as a copy, later ones are
+    added with ``+=``, and entries the loss does not reach are left alone:
+    an absent one stays absent.  Contributions arrive in the order the
+    walk visits the nodes reachable from the loss, descending creation
     number, so two passes over identical inputs are bit-identical, and
     terms run one after another into one map give the bits of one pass
     over their sum when they run in the order that pass reaches them.
@@ -180,12 +173,7 @@ def backward(loss: Tensor, grads: GradientMap | None = None) -> GradientMap:
         for parent, pgrad in zip(node.parents, node.vjp(grad)):
             if pgrad is not None:
                 accumulate(parent, pgrad)
-    if grads is not None:
-        return out
-    return {
-        p.name: np.zeros_like(p.values) if out.get(p.name) is None else out[p.name]
-        for p in loss.graph.parameters()
-    }
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -179,6 +180,27 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "trunk.2.kernels" in err
+
+    @pytest.mark.parametrize("damage,message", [
+        (lambda data: data[: len(data) // 2], r"truncated checkpoint while reading .* \(byte offset \d+\)"),
+        (lambda data: b"NOPE" + data[4:], r"bad magic b'NOPE', expected b'EWC1' \(byte offset 0\)"),
+        (lambda data: data[:4] + bytes([9]) + data[5:], r"unsupported version 9 \(byte offset 4\)"),
+        (lambda data: data.replace(b"trunk=6,6\n", b"trunk=6,7\n", 1), r"entry 'trunk.1.kernels': .* in the file"),
+        (lambda data: data.replace(b"FISHER", b"FISHEX", 1), r"bad fisher sentinel b'FISHEX' \(byte offset \d+\)"),
+        (lambda data: data.replace(b"FISHER\x06", b"FISHER\x07", 1), r"fisher entry count 7 != header 6"),
+        (lambda data: data + b"\0\0", r"2 trailing bytes \(byte offset \d+\)"),
+        (lambda data: data.replace(b"heads=taskA:4", b"heads=taskA:1", 1), r"header: head 'taskA' needs >= 2"),
+    ], ids=["truncated", "magic", "version", "layout", "fisher-sentinel", "fisher-count", "trailing", "spec"])
+    def test_damaged_checkpoint_exits_1_naming_the_file(self, tmp_path, capsys, damage, message):
+        ckpt = tmp_path / "net.ckpt"
+        store = init_network(NetworkSpec(in_channels=2, trunk=(6, 6), heads={"taskA": 4}), seed=1)
+        save_checkpoint(store, ckpt, fisher=FisherDiagonal.ones_like(store))
+        ckpt.write_bytes(damage(ckpt.read_bytes()))
+        code = run(["evaluate", "--checkpoint", str(ckpt), "--out", str(tmp_path)] + TINY)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}"), err
+        assert re.search(message, err), err
 
     def test_fisher_payload_unlike_the_parameters_exits_1_before_any_run(self, tmp_path, capsys, save_unchecked):
         # a task-A checkpoint whose Fisher payload lacks one entry

@@ -112,6 +112,7 @@ class TestConfig:
     def test_lambda_sweep_plan(self, tmp_path):
         config = tiny_config(tmp_path, regime="l2", **{"lambda": "0.1, 1, 10"})
         assert config.grid_for("l2") == (0.1, 1.0, 10.0)
+        assert config.grid_for("finetune") == (0.0,)
 
     def test_default_grids_differ_per_regularizer(self):
         config = parse_config(overrides={"regime": "l2,ewc"})
@@ -258,7 +259,9 @@ class TestTrainLoop:
 def one_graph_step(store, plan, work, config):
     """The step as one graph: every patch's loss, summed with ``add`` and
     scaled per task, task A plus task B, plus the penalty, then a single
-    backward.  The oracle of the streamed step."""
+    backward, whose map the oracle fills with an all-zero gradient for
+    each store entry the loss does not reach.  The oracle of the streamed
+    step."""
     leaves = network.leaf_tensors(store, tensor.Graph())
     margin = network.output_margin(store.spec)
     means = []
@@ -278,7 +281,9 @@ def one_graph_step(store, plan, work, config):
     total = task_loss
     if plan.fisher is not None:
         total = tensor.add(task_loss, ewc_penalty(leaves, plan.anchor, plan.fisher, plan.lam))
-    return float(task_loss.values), float(total.values), tensor.backward(total)
+    grads = tensor.backward(total)
+    filled = {name: grads.get(name, np.zeros_like(values)) for name, values in store.items()}
+    return float(task_loss.values), float(total.values), filled
 
 
 def epoch_work(plan, config, bank, epoch):

@@ -114,12 +114,12 @@ class TestEvaluateModel:
 
         # all-zero logits -> argmax picks class 0 everywhere
         dead = ParamStore(zeroed, spec=self.store.spec)
-        assert evaluate_model(dead, "taskB", TASK_B, self.samples, "full") == {"wml": 0.0}
+        assert evaluate_full(dead, [TASK_B], self.samples) == {"b": {"wml": 0.0}}
 
     def test_full_scope_shapes_and_records(self):
         # the defined foreground classes in class order, each equal to the
         # Dice oracle over all interiors concatenated
-        scores = evaluate_model(self.store, "taskA", TASK_A, self.samples, "full")
+        scores = evaluate_full(self.store, [TASK_A], self.samples)["a"]
         preds = [predict_full(self.store, "taskA", s.channels).reshape(-1) for s in self.samples]
         truths = [interior(s.labels_a, self.margin).reshape(-1) for s in self.samples]
         oracle = {
@@ -170,13 +170,17 @@ class TestEvaluateModel:
             reference = pooled_dice(pairs, task.n_classes)
             expect = {task.class_names[c]: v for c, v in enumerate(reference) if c > 0 and v is not None}
             assert scores[task.task_id] == expect
-            assert evaluate_model(store, task.head, task, samples, "full", tile=tile) == expect
+            assert evaluate_full(store, [task], samples, tile=tile) == {task.task_id: expect}
 
     def test_evaluate_full_of_a_missing_head_raises(self):
         spec = NetworkSpec(in_channels=2, trunk=(6, 6), heads={"taskA": 4})
         store = init_network(spec, seed=5)
         with pytest.raises(HeadError, match="taskB"):
             evaluate_full(store, [TASK_A, TASK_B], self.samples)
+
+    def test_patch_is_the_only_scope(self):
+        with pytest.raises(DimensionError, match="'full'"):
+            evaluate_model(self.store, "taskA", TASK_A, self.samples, "full")
 
     def test_patch_prediction_is_the_logit_argmax(self):
         # scored against the argmax of the head's graph logits, the patch
@@ -203,7 +207,7 @@ class TestEvaluateModel:
         m = self.margin
         patches = [(s.channels[:, :14, :14], s.labels_a[m : 14 - m, m : 14 - m]) for s in self.samples]
         evaluate_model(self.store, "taskA", TASK_A, patches, "patch")
-        evaluate_model(self.store, "taskB", TASK_B, self.samples, "full", tile=7)
+        evaluate_full(self.store, [TASK_B], self.samples, tile=7)
         evaluate_full(self.store, [TASK_A, TASK_B], self.samples)
         for tile in (0, 7):
             predict_full(self.store, "taskA", self.samples[0].channels, tile=tile)

@@ -16,6 +16,7 @@ from ewclab.network import (
     NetworkSpec,
     ParamStore,
     attach_head,
+    entry_shapes,
     forward_heads,
     forward_logits,
     init_network,
@@ -337,6 +338,19 @@ class TestCheckpoint:
         save_checkpoint(store, path)
         rewrite_header(path, key, value)
         with pytest.raises(FormatError, match=re.escape(repr(entry))):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("spec,message", [
+        (NetworkSpec(in_channels=2, trunk=(), heads={"taskA": 4}), "trunk needs at least one layer"),
+        (NetworkSpec(in_channels=0, trunk=(4,), heads={"taskA": 4}), "in_channels must be positive"),
+        (NetworkSpec(in_channels=2, trunk=(4,), heads={"taskA": 1}), "'taskA' needs >= 2 classes"),
+    ], ids=["empty-trunk", "no-input-channels", "one-class-head"])
+    def test_header_spec_that_does_not_validate_is_refused_at_load(self, tmp_path, spec, message):
+        # save writes what it is given; load checks the spec as init_network does
+        store = ParamStore({name: np.zeros(shape) for name, shape in entry_shapes(spec).items()}, spec=spec)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(store, path)
+        with pytest.raises(FormatError, match=re.escape(f"{path} header: ") + ".*" + re.escape(message)):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("edit,entry", [
