@@ -48,10 +48,12 @@ def _gather_config(args) -> ExperimentConfig:
         value = getattr(args, f"cfg_{key}", None)
         if value is not None:
             overrides[key] = value
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.seed is not None:
-        overrides["seeds"] = str(args.seed)
+    for flag, key in (("out", "out_dir"), ("seed", "seeds")):  # a second spelling of a key
+        value = getattr(args, flag)
+        if value is not None:
+            if key in overrides:
+                raise ConfigError(f"--{flag} and --{key.replace('_', '-')} both given; pass one")
+            overrides[key] = str(value)
     return parse_config(args.config, overrides)
 
 

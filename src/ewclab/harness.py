@@ -442,12 +442,12 @@ def train(
 ) -> RunRecord:
     """Execute one run: SGD with momentum over seed-shuffled patch
     batches, per-epoch patch-scope validation, full-image final scores,
-    checkpoints at epoch 0 and the final epoch."""
+    the final checkpoint.  The run directory is created only then, so a
+    run that diverges leaves none; ``record.txt``, written last, marks
+    it complete."""
     t0 = time.monotonic()
     config.validate()
     rid = run_id(plan.kind, plan.lam, plan.seed, config_digest(config, manifest_text(bank.manifest, bank.config)))
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
     data = PlanData(bank, plan.input_splits, plan.kind)
 
     # a copy: the plan's store stays as built, so a plan trains the same twice
@@ -458,9 +458,6 @@ def train(
     validation = data.split("validation")
     if eval_sets is None:
         eval_sets = {t.task_id: build_eval_patches(validation, t, config) for t in eval_tasks}
-
-    meta = {"regime": plan.kind, "seed": str(plan.seed), "lambda": f"{plan.lam:g}"}
-    network.save_checkpoint(store, run_dir / "epoch0.ckpt", metadata={**meta, "epoch": "0"})
 
     rows: list[MetricRow] = []
 
@@ -511,8 +508,11 @@ def train(
     score(config.epochs, "full")
 
     fisher = task_a_fisher(store, data.split("train_a"), config) if plan.kind == "dm-a" else None
+    run_dir = Path(run_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
     ckpt_final = run_dir / "final.ckpt"
-    network.save_checkpoint(store, ckpt_final, metadata={**meta, "epoch": str(config.epochs)}, fisher=fisher)
+    meta = {"regime": plan.kind, "seed": str(plan.seed), "lambda": f"{plan.lam:g}", "epoch": str(config.epochs)}
+    network.save_checkpoint(store, ckpt_final, metadata=meta, fisher=fisher)
 
     record = RunRecord(
         run_id=rid,
@@ -560,6 +560,8 @@ def _csv_text(lines: list[str]) -> str:
 
 
 def _write_run_dir(record: RunRecord, losses: list[tuple], config: ExperimentConfig, run_dir: Path) -> None:
+    """The run's text files; ``record.txt`` last, because its presence
+    marks the run complete."""
     write_text(run_dir / "config.txt", dump_config(config))
     write_text(run_dir / "metrics.csv", _csv_text(record.lines))
     loss_lines = [LOSS_HEADER]
@@ -580,7 +582,6 @@ def _write_run_dir(record: RunRecord, losses: list[tuple], config: ExperimentCon
         )
         + "\n",
     )
-    write_text(run_dir / "done", "ok\n")
 
 
 def read_metric_rows(path) -> tuple[list[MetricRow], list[str]]:
@@ -678,7 +679,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
                critical: bool) -> RunRecord | None:
         rid = run_id(kind, lam, seed, digest)
         run_dir = os.path.join(runs_dir, rid)
-        if os.path.exists(os.path.join(run_dir, "done")):
+        if os.path.exists(os.path.join(run_dir, "record.txt")):  # written last: the run completed
             note(f"skip {kind} lambda={lam:g} seed={seed} ({rid}, already done)")
             record = load_run_record(run_dir, rid)
             records.append(record)

@@ -138,10 +138,6 @@ class FisherDiagonal:
         return cls(ones, FisherProvenance(dataset_id="", head="", mode="unit", samples=0))
 
 
-def _he_kernels(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Array:
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-
-
 def entry_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter entry ``spec`` implies, in store
     order: each trunk layer's kernels and bias, then each head's."""
@@ -157,17 +153,25 @@ def entry_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_network(spec: NetworkSpec, seed: int) -> ParamStore:
-    """He-initialized parameters (zero-mean Gaussian, variance 2/fan_in)
-    for kernels and head weights, zero biases; deterministic per seed."""
-    spec.validate()
+def _add_initialized(store: ParamStore, seed: int) -> None:
+    """Add the entries of ``store.spec`` that ``store`` lacks, in store
+    order: He-initialized kernels and head weights (zero-mean Gaussian,
+    variance 2/fan_in) drawn from one seeded stream, zero biases."""
     rng = np.random.default_rng(seed)
-    store = ParamStore(spec=spec.copy())
-    for name, shape in entry_shapes(spec).items():
+    for name, shape in entry_shapes(store.spec).items():
+        if name in store:
+            continue
         if name.endswith(".bias"):
             store.add(name, np.zeros(shape))
         else:
-            store.add(name, _he_kernels(rng, shape, math.prod(shape[1:])))
+            store.add(name, rng.normal(0.0, np.sqrt(2.0 / math.prod(shape[1:])), size=shape))
+
+
+def init_network(spec: NetworkSpec, seed: int) -> ParamStore:
+    """He-initialized parameters for ``spec``; deterministic per seed."""
+    spec.validate()
+    store = ParamStore(spec=spec.copy())
+    _add_initialized(store, seed)
     return store
 
 
@@ -178,15 +182,11 @@ def attach_head(store: ParamStore, head_name: str, classes: int, seed: int) -> P
         raise HeadError("store has no network spec; cannot attach a head")
     if head_name in store.spec.heads:
         raise HeadError(f"head {head_name!r} already exists")
-    if classes < 2:
-        raise HeadError(f"head {head_name!r} needs >= 2 classes, got {classes}")
     new_spec = store.spec.copy()
     new_spec.heads[head_name] = classes
+    new_spec.validate()
     out = ParamStore(store, spec=new_spec)
-    rng = np.random.default_rng(seed)
-    width = new_spec.trunk[-1]
-    out.add(f"head.{head_name}.weights", _he_kernels(rng, (classes, width, 1, 1), width))
-    out.add(f"head.{head_name}.bias", np.zeros(classes))
+    _add_initialized(out, seed)
     return out
 
 
@@ -359,15 +359,21 @@ class _Reader:
         return struct.unpack("<I", self.take(4, what))[0]
 
 
-def _read_entry(r: _Reader) -> tuple[str, Array]:
-    name_len = r.u32("entry name length")
-    error = partial(FormatError, offset=r.pos)
-    name = decode_text(r.take(name_len, "entry name"), error, f"{r.path} entry name")
-    rank = r.u8(f"rank of {name!r}")
-    dims = tuple(r.u32(f"dim {i} of {name!r}") for i in range(rank))
-    count = math.prod(dims)  # a Python int: a huge count cannot wrap, so it reads as truncation
-    payload = r.take(count * 8, f"payload of {name!r}")
-    return name, np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
+def _read_entries(r: _Reader, count: int, store: ParamStore) -> None:
+    """Add ``count`` entries read from ``r`` to ``store``; a name read
+    twice is a :class:`FormatError` at that entry's offset."""
+    for _ in range(count):
+        start = r.pos
+        name_len = r.u32("entry name length")
+        error = partial(FormatError, offset=r.pos)
+        name = decode_text(r.take(name_len, "entry name"), error, f"{r.path} entry name")
+        if name in store:
+            raise r.error(f"entry {name!r} repeated", start)
+        rank = r.u8(f"rank of {name!r}")
+        dims = tuple(r.u32(f"dim {i} of {name!r}") for i in range(rank))
+        size = math.prod(dims)  # a Python int: a huge size cannot wrap, so it reads as truncation
+        payload = r.take(size * 8, f"payload of {name!r}")
+        store.add(name, np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64))
 
 
 def _parse_head(part: str) -> tuple[str, int]:
@@ -391,8 +397,8 @@ def _check_layout(store: ParamStore, expected: Mapping[str, tuple[int, ...]], wh
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; a missing file raises :class:`PrerequisiteError`,
     and bad magic, version, header lines or values, a network spec that
-    :meth:`NetworkSpec.validate` rejects, an entry name that is not UTF-8,
-    entries other than those the header's network spec implies, a Fisher
+    :meth:`NetworkSpec.validate` rejects, an entry name that is not UTF-8
+    or repeats an earlier one, entries other than those the header's network spec implies, a Fisher
     payload unlike the parameters' names and shapes, or truncation raise
     :class:`FormatError` naming the file (and the failing byte offset if
     there is one)."""
@@ -418,8 +424,7 @@ def load_checkpoint(path) -> Checkpoint:
     except (DimensionError, HeadError) as exc:
         raise FormatError(f"{where}: {exc}") from None
     store = ParamStore(spec=spec)
-    for _ in range(field("entries", int)):
-        store.add(*_read_entry(r))
+    _read_entries(r, field("entries", int), store)
     shapes = entry_shapes(spec)
     _check_layout(store, shapes, "the file", "the header's network spec", r.error)
 
@@ -439,8 +444,7 @@ def load_checkpoint(path) -> Checkpoint:
         if count != expected:
             raise r.error(f"fisher entry count {count} != header {expected}")
         importance = ParamStore()
-        for _ in range(count):
-            importance.add(*_read_entry(r))
+        _read_entries(r, count, importance)
         _check_layout(importance, shapes, "the Fisher payload", "the parameters", r.error)
         fisher = FisherDiagonal(importance, provenance)
     if r.pos != len(data):

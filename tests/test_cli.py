@@ -37,6 +37,16 @@ def run(argv):
     return main(argv)
 
 
+def rename_nth(data: bytes, n: int) -> bytes:
+    """A checkpoint's bytes with the ``n``-th 'head.taskA.bias' entry name
+    (1: the parameters', 2: the Fisher payload's) renamed to an earlier
+    entry's name of the same length."""
+    at = -1
+    for _ in range(n):
+        at = data.index(b"head.taskA.bias", at + 1)
+    return data[:at] + b"trunk.0.kernels" + data[at + len(b"trunk.0.kernels"):]
+
+
 class TestExitCodes:
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -190,7 +200,10 @@ class TestExitCodes:
         (lambda data: data.replace(b"FISHER\x06", b"FISHER\x07", 1), r"fisher entry count 7 != header 6"),
         (lambda data: data + b"\0\0", r"2 trailing bytes \(byte offset \d+\)"),
         (lambda data: data.replace(b"heads=taskA:4", b"heads=taskA:1", 1), r"header: head 'taskA' needs >= 2"),
-    ], ids=["truncated", "magic", "version", "layout", "fisher-sentinel", "fisher-count", "trailing", "spec"])
+        (lambda data: rename_nth(data, 1), r"entry 'trunk.0.kernels' repeated \(byte offset \d+\)"),
+        (lambda data: rename_nth(data, 2), r"entry 'trunk.0.kernels' repeated \(byte offset \d+\)"),
+    ], ids=["truncated", "magic", "version", "layout", "fisher-sentinel", "fisher-count", "trailing", "spec",
+            "repeated-entry", "repeated-fisher-entry"])
     def test_damaged_checkpoint_exits_1_naming_the_file(self, tmp_path, capsys, damage, message):
         ckpt = tmp_path / "net.ckpt"
         store = init_network(NetworkSpec(in_channels=2, trunk=(6, 6), heads={"taskA": 4}), seed=1)
@@ -201,6 +214,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ckpt}"), err
         assert re.search(message, err), err
+
+    @pytest.mark.parametrize("spellings", [("--out", "--out-dir"), ("--seed", "--seeds")], ids=["out", "seed"])
+    def test_two_spellings_of_one_key_exit_2(self, tmp_path, capsys, spellings):
+        values = {"--out": str(tmp_path / "a"), "--out-dir": str(tmp_path / "b"), "--seed": "3", "--seeds": "1,2"}
+        argv = ["run-experiment", "--regime", "dm-a", "--out", values["--out"]] + TINY[2:]  # TINY less --seeds
+        if spellings[0] == "--out":
+            argv += ["--out-dir", values["--out-dir"]]
+        else:
+            argv += ["--seeds", values["--seeds"], "--seed", values["--seed"]]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {spellings[0]} and {spellings[1]} both given"), err
+        assert list(tmp_path.iterdir()) == []
 
     def test_fisher_payload_unlike_the_parameters_exits_1_before_any_run(self, tmp_path, capsys, save_unchecked):
         # a task-A checkpoint whose Fisher payload lacks one entry
@@ -360,6 +386,31 @@ def test_python_dash_m_runs_the_cli_from_a_checkout():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "run-experiment" in done.stdout
+
+
+def test_importing_the_package_gives_the_one_blas_thread_bits():
+    # OpenBLAS splits this GEMM (layer 2's kernel gradient) by thread and
+    # the parts round differently; with numpy loaded first or not, ewclab
+    # leaves the one-thread bits under a two-thread environment
+    src = Path(__file__).resolve().parents[1] / "src"
+    gemm = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "rng = np.random.default_rng(0)\n"
+        "a, b = rng.standard_normal((24, 432)), rng.standard_normal((432, 108))\n"
+        "print(hashlib.sha256((a @ b).tobytes()).hexdigest())\n"
+    )
+
+    def digest(prelude: str, threads: str) -> str:
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", prelude + gemm], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    one_thread = digest("", "1")
+    for prelude in ("import numpy\nimport ewclab\n", "import ewclab\n"):
+        assert digest(prelude, "2") == one_thread, prelude
 
 
 def test_artifacts_are_utf8_under_an_ascii_locale(tmp_path):

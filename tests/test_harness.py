@@ -201,15 +201,18 @@ class TestTrainLoop:
             assert one == (tmp_path / "two" / artifact).read_bytes(), artifact
 
     def test_epoch0_checkpoint_is_pretraining_state(self, tmp_path):
+        # the pre-training state is the plan's store, which train leaves
+        # as build_regime built it: the fresh init_network state
         config = tiny_config(tmp_path)
         manifest, gen = load_data(config)
         bank = SampleBank(manifest, gen)
         plan = build_regime("dm-a", 0.0, 1, trunk=config.trunk)
+        built = {name: values.tobytes() for name, values in plan.store.items()}
         train(plan, config, bank, tmp_path / "run")
-        ckpt0 = network.load_checkpoint(tmp_path / "run" / "epoch0.ckpt")
-        fresh = network.init_network(ckpt0.params.spec, harness.derive_seed(1, "init"))
+        fresh = network.init_network(plan.store.spec, harness.derive_seed(1, "init"))
+        assert list(plan.store) == list(fresh)
         for name in fresh:
-            assert ckpt0.params[name].tobytes() == fresh[name].tobytes()
+            assert plan.store[name].tobytes() == built[name] == fresh[name].tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_location(self, tmp_path):
@@ -236,6 +239,8 @@ class TestTrainLoop:
         assert ("l2", 1e6) not in regimes
         failures = (tmp_path / "exp" / "failures.txt").read_text()
         assert "l2,1e+06" in failures
+        diverged = next(line for line in failures.splitlines() if ",l2,1e+06," in line).split(",")[0]
+        assert not (tmp_path / "exp" / "runs" / diverged).exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_sweep_without_failures_removes_stale_failures_file(self, tmp_path):
@@ -734,10 +739,10 @@ class TestRunStore:
         kept = ("final.ckpt", "metrics.csv", "losses.csv")
         before = {name: (run_dir / name).read_bytes() for name in kept}
         curves = (out / "curves.csv").read_bytes()
-        # a crash mid-run: a torn checkpoint, a stray temporary file, no 'done'
+        # a crash mid-run: a torn checkpoint, a stray temporary file, no record.txt
         (run_dir / "final.ckpt").write_bytes(before["final.ckpt"][:100])
         (run_dir / "metrics.csv.tmp").write_text("run_id,regime\n")
-        (run_dir / "done").unlink()
+        (run_dir / "record.txt").unlink()
         trained.clear()
         run_experiment(tiny_config(tmp_path, regime="finetune"))
         assert trained == [("finetune", 0.0)]
@@ -746,8 +751,7 @@ class TestRunStore:
         assert list(out.rglob("*.tmp")) == []
 
     def test_a_run_directory_holding_another_run_is_a_config_error(self, tmp_path):
-        # dm-a's record and rows copied into the finetune run's directory,
-        # which keeps its 'done'
+        # dm-a's record and rows copied into the finetune run's directory
         config = tiny_config(tmp_path, regime="finetune")
         dm_a, finetune = (r.run_id for r in run_experiment(config))
         runs = tmp_path / "exp" / "runs"
