@@ -215,17 +215,16 @@ class TestExitCodes:
         assert err.startswith(f"error: {ckpt}"), err
         assert re.search(message, err), err
 
-    @pytest.mark.parametrize("spellings", [("--out", "--out-dir"), ("--seed", "--seeds")], ids=["out", "seed"])
-    def test_two_spellings_of_one_key_exit_2(self, tmp_path, capsys, spellings):
-        values = {"--out": str(tmp_path / "a"), "--out-dir": str(tmp_path / "b"), "--seed": "3", "--seeds": "1,2"}
-        argv = ["run-experiment", "--regime", "dm-a", "--out", values["--out"]] + TINY[2:]  # TINY less --seeds
-        if spellings[0] == "--out":
-            argv += ["--out-dir", values["--out-dir"]]
-        else:
-            argv += ["--seeds", values["--seeds"], "--seed", values["--seed"]]
+    @pytest.mark.parametrize("short,long,values", [
+        ("--out", "--out-dir", ("a", "b")),
+        ("--seed", "--seeds", ("3", "1,2")),
+    ], ids=["out", "seed"])
+    def test_two_spellings_of_one_key_exit_2(self, tmp_path, capsys, monkeypatch, short, long, values):
+        monkeypatch.chdir(tmp_path)  # every output path, the default 'out' too, is under tmp_path
+        argv = ["run-experiment", "--regime", "dm-a", short, values[0], long, values[1]] + TINY[2:]  # TINY less --seeds
         assert run(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: {spellings[0]} and {spellings[1]} both given"), err
+        assert err.startswith(f"config error: {short} and {long} both given"), err
         assert list(tmp_path.iterdir()) == []
 
     def test_fisher_payload_unlike_the_parameters_exits_1_before_any_run(self, tmp_path, capsys, save_unchecked):
