@@ -359,10 +359,10 @@ class _Reader:
         return struct.unpack("<I", self.take(4, what))[0]
 
 
-def _read_entries(r: _Reader, count: int, store: ParamStore) -> None:
-    """Add ``count`` entries read from ``r`` to ``store``; a name read
-    twice is a :class:`FormatError` at that entry's offset."""
-    for _ in range(count):
+def _read_entries(r: _Reader, n: int, store: ParamStore) -> None:
+    """Add ``n`` entries read from ``r`` to ``store``; a name read twice
+    is a :class:`FormatError` at that entry's offset."""
+    for _ in range(n):
         start = r.pos
         name_len = r.u32("entry name length")
         error = partial(FormatError, offset=r.pos)
@@ -371,8 +371,8 @@ def _read_entries(r: _Reader, count: int, store: ParamStore) -> None:
             raise r.error(f"entry {name!r} repeated", start)
         rank = r.u8(f"rank of {name!r}")
         dims = tuple(r.u32(f"dim {i} of {name!r}") for i in range(rank))
-        size = math.prod(dims)  # a Python int: a huge size cannot wrap, so it reads as truncation
-        payload = r.take(size * 8, f"payload of {name!r}")
+        count = math.prod(dims)  # a Python int: a huge count cannot wrap, so it reads as truncation
+        payload = r.take(count * 8, f"payload of {name!r}")
         store.add(name, np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64))
 
 
@@ -398,8 +398,9 @@ def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; a missing file raises :class:`PrerequisiteError`,
     and bad magic, version, header lines or values, a network spec that
     :meth:`NetworkSpec.validate` rejects, an entry name that is not UTF-8
-    or repeats an earlier one, entries other than those the header's network spec implies, a Fisher
-    payload unlike the parameters' names and shapes, or truncation raise
+    or repeats an earlier one, entries other than those the header's
+    network spec implies, a Fisher payload unlike the parameters' names
+    and shapes, or truncation raise
     :class:`FormatError` naming the file (and the failing byte offset if
     there is one)."""
     data = read_file(path, PrerequisiteError, "checkpoint")
