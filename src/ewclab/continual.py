@@ -12,6 +12,8 @@ unit importances turn it into the plain L2 anchor.
 from __future__ import annotations
 
 import hashlib
+import os
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -39,6 +41,44 @@ def _sample_labels(log_probs: Array, rng: np.random.Generator) -> Array:
     return (u[None, :] < cum).argmax(axis=0)
 
 
+def _check_inputs(params: ParamStore, data: Sequence, mode: str) -> None:
+    if len(data) == 0:
+        raise DataError("cannot estimate Fisher information from an empty dataset")
+    if mode not in ("empirical", "sampled"):
+        raise ContractError(f"unknown fisher mode {mode!r}")
+    if params.spec is None:
+        raise ContractError("store has no network spec")
+
+
+def _sample_loss(params: ParamStore, patch: Array, labels: Array, head: str, rng) -> Tensor:
+    """One sample's mean per-pixel NLL on fresh leaves; with an ``rng``
+    (sampled mode) the labels are drawn from the model instead."""
+    logits = network.forward_logits(network.leaf_tensors(params, Graph()), params.spec, patch, head)
+    classes = logits.values.shape[0]
+    log_probs = log_softmax(reshape(logits, (classes, logits.values.size // classes)))
+    y = np.asarray(labels).reshape(-1) if rng is None else _sample_labels(log_probs.values, rng)
+    return nll_loss(log_probs, y)
+
+
+def _sample_grads(
+    params: ParamStore, data: Sequence, head: str, mode: str, rng_seed: int, samples: range,
+) -> Iterator[dict[str, Array]]:
+    """The loss gradient of each sample in ``samples``, in order.  The
+    sampled labels come from one stream that draws one uniform per
+    output pixel, sample by sample from sample 0, so the uniforms of the
+    samples before ``samples`` are drawn and discarded first."""
+    rng = None
+    if mode == "sampled":
+        rng = np.random.default_rng(rng_seed)
+        trim = 2 * network.output_margin(params.spec)
+        for i in range(samples.start):
+            height, width = np.shape(data[i][0])[-2:]
+            rng.random((height - trim) * (width - trim))
+    for i in samples:
+        patch, labels = data[i]
+        yield backward(_sample_loss(params, patch, labels, head, rng))
+
+
 def score_samples(
     params: ParamStore,
     data: Sequence[tuple[Array, Array]],
@@ -52,25 +92,86 @@ def score_samples(
     entry).  ``data`` yields (patch, label map) pairs; in ``sampled``
     mode the given labels are ignored and fresh ones are drawn per pixel.
     """
-    if len(data) == 0:
-        raise DataError("cannot estimate Fisher information from an empty dataset")
-    if mode not in ("empirical", "sampled"):
-        raise ContractError(f"unknown fisher mode {mode!r}")
-    spec = params.spec
-    if spec is None:
-        raise ContractError("store has no network spec")
-    rng = np.random.default_rng(rng_seed)
-    for patch, labels in data:
-        leaves = network.leaf_tensors(params, Graph())
-        logits = network.forward_logits(leaves, spec, patch, head)
-        classes = logits.values.shape[0]
-        log_probs = log_softmax(reshape(logits, (classes, logits.values.size // classes)))
-        if mode == "sampled":
-            y = _sample_labels(log_probs.values, rng)
-        else:
-            y = np.asarray(labels).reshape(-1)
-        loss = nll_loss(log_probs, y)  # mean negative log-likelihood
-        yield {name: -g for name, g in backward(loss).items()}
+    _check_inputs(params, data, mode)
+    for grads in _sample_grads(params, data, head, mode, rng_seed, range(len(data))):
+        yield {name: -g for name, g in grads.items()}
+
+
+# Fewest samples worth a process of their own: forking a ~50 MB process,
+# moving its chunk's squares back and joining it took 7-8 ms on a 2-vCPU
+# host, about ten samples' scoring with the default network.
+FISHER_MIN_CHUNK = 32
+
+
+def _fisher_chunks(samples: int) -> list[range]:
+    """Contiguous sample ranges, one per process: at most one per
+    available core, and ``FISHER_MIN_CHUNK`` samples or more each.  Only
+    Linux splits: Windows has no fork, and macOS' Accelerate is not
+    fork-safe."""
+    procs = 1
+    if sys.platform == "linux":
+        procs = max(1, min(len(os.sched_getaffinity(0)), samples // FISHER_MIN_CHUNK))
+    bounds = [samples * k // procs for k in range(procs + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _fork_scorer(params, data, head, mode, rng_seed, samples: range, reached, inherited) -> tuple[int, int]:
+    """Fork a child that scores ``samples`` and then writes one row per
+    sample to a pipe: the squared gradient of each ``reached`` entry, in
+    that order.  Returns (pid, read end).
+
+    The child closes the ``inherited`` read ends, so each pipe has one
+    reader, and a closed read end fails its write with EPIPE.  It leaves
+    only by ``os._exit``: it never flushes the parent's buffered output
+    or runs exit hooks.  On any error it exits non-zero having written
+    nothing.  (numpy's OpenBLAS stops its idle thread pool before a
+    fork, so the child starts from the one thread that forked.)"""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    status = 1
+    try:
+        os.close(read_end)
+        for pipe in inherited:
+            pipe.close()
+        rows = [
+            np.concatenate([(grads[name] * grads[name]).reshape(-1) for name in reached])
+            for grads in _sample_grads(params, data, head, mode, rng_seed, samples)
+        ]
+        with open(write_end, "wb") as out:
+            for row in rows:
+                out.write(row)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fold_rows(pipe, sumsq: dict[str, Array], reached: list[str], count: int) -> int:
+    """Add up to ``count`` rows of :func:`_fork_scorer`'s from ``pipe``
+    into ``sumsq`` in row order, reading each into one reused buffer;
+    returns how many whole rows the pipe held."""
+    row = np.empty(sum(sumsq[name].size for name in reached))
+    view = memoryview(row).cast("B")
+    for done in range(count):
+        got = 0
+        while got < len(view):
+            n = pipe.readinto(view[got:])
+            if not n:
+                return done
+            got += n
+        offset = 0
+        for name in reached:
+            total = sumsq[name]
+            total += row[offset:offset + total.size].reshape(total.shape)
+            offset += total.size
+    return count
 
 
 def estimate_fisher(
@@ -83,16 +184,48 @@ def estimate_fisher(
 ) -> FisherDiagonal:
     """Average squared per-sample score, accumulated in ascending sample
     order: F_i = (1/M) * sum_m g_{m,i}^2, zero for an entry no score
-    reaches.  Deterministic given inputs and seed."""
+    reaches.  Deterministic given inputs and seed.
+
+    The samples split into contiguous chunks (:func:`_fisher_chunks`).
+    This process scores the first chunk and a forked child each other
+    one; the children's squares are then added in sample order, so the
+    sums have the bits of one process's fold whatever the split.  This
+    process scores what a child did not deliver, so a child's error is
+    raised here as one process raises it.  Every child is reaped and
+    every pipe closed before this returns or raises.
+    """
+    _check_inputs(params, data, mode)
     sumsq = {name: np.zeros_like(values) for name, values in params.items()}
-    count = 0
-    for score in score_samples(params, data, head, mode, rng_seed):
-        for name, s in score.items():
-            sumsq[name] += s * s
-        count += 1
+
+    def fold(samples: range) -> None:
+        for grads in _sample_grads(params, data, head, mode, rng_seed, samples):
+            for name, g in grads.items():
+                sumsq[name] += g * g  # the bits of squaring the negated score
+
+    # the entries one sample's likelihood reaches: the trunk and ``head``
+    reached = [name for name in params if not name.startswith("head.") or name.startswith(f"head.{head}.")]
+    first, *rest = _fisher_chunks(len(data))
+    pids, pipes = [], []
+    try:
+        try:
+            for samples in rest:
+                pid, read_end = _fork_scorer(params, data, head, mode, rng_seed, samples, reached, pipes)
+                pids.append(pid)
+                pipes.append(open(read_end, "rb", buffering=0))
+        except OSError:
+            pass  # no process to spare: the chunks without a child are scored here
+        fold(first)
+        for k, samples in enumerate(rest):
+            done = _fold_rows(pipes[k], sumsq, reached, len(samples)) if k < len(pipes) else 0
+            fold(samples[done:])
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
     return FisherDiagonal(
-        ParamStore({name: total / count for name, total in sumsq.items()}),
-        FisherProvenance(dataset_id=dataset_id, head=head, mode=mode, samples=count),
+        ParamStore({name: total / len(data) for name, total in sumsq.items()}),
+        FisherProvenance(dataset_id=dataset_id, head=head, mode=mode, samples=len(data)),
     )
 
 

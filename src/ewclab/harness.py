@@ -483,27 +483,29 @@ def train(
     train_images = {task.task_id: data.split(f"train_{task.task_id}") for task in tasks}
     velocity: dict[str, Array] = {}
 
-    for epoch in range(1, config.epochs + 1):
-        per_task_batches = {
-            task.task_id: _epoch_batches(
-                train_images[task.task_id], task, config, seeded_rng(plan.seed, "epoch", epoch, task.task_id)
-            )
-            for task in tasks
-        }
-        steps = max(len(b) for b in per_task_batches.values())
-        loss_sum = 0.0
-        penalty_sum = 0.0
-        for step in range(steps):
-            work = []
-            for task in tasks:
-                batches = per_task_batches[task.task_id]
-                work.append((task, train_images[task.task_id], batches[step % len(batches)]))
-            loss_value, total_value, grads = _train_step(store, plan, work, config, epoch, step)
-            loss_sum += loss_value
-            penalty_sum += total_value - loss_value
-            sgd_update(store, grads, velocity, config.learning_rate, config.momentum)
-        losses.append((epoch, loss_sum / steps, penalty_sum / steps))
-        score(epoch, "patch")
+    # a diverging step overflows before DivergenceError names its epoch and step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            per_task_batches = {
+                task.task_id: _epoch_batches(
+                    train_images[task.task_id], task, config, seeded_rng(plan.seed, "epoch", epoch, task.task_id)
+                )
+                for task in tasks
+            }
+            steps = max(len(b) for b in per_task_batches.values())
+            loss_sum = 0.0
+            penalty_sum = 0.0
+            for step in range(steps):
+                work = []
+                for task in tasks:
+                    batches = per_task_batches[task.task_id]
+                    work.append((task, train_images[task.task_id], batches[step % len(batches)]))
+                loss_value, total_value, grads = _train_step(store, plan, work, config, epoch, step)
+                loss_sum += loss_value
+                penalty_sum += total_value - loss_value
+                sgd_update(store, grads, velocity, config.learning_rate, config.momentum)
+            losses.append((epoch, loss_sum / steps, penalty_sum / steps))
+            score(epoch, "patch")
 
     score(config.epochs, "full")
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from ewclab import network
@@ -18,3 +20,16 @@ def save_unchecked(monkeypatch):
             network.save_checkpoint(*args, **kwargs)
 
     return save
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Every test reaps the processes it starts."""
+    yield
+    if not hasattr(os, "fork"):
+        return
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("the test left a child process behind")

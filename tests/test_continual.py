@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import math
+import os
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ewclab import continual
 from ewclab.continual import (
     build_regime,
     canonical_regime,
@@ -19,6 +26,7 @@ from ewclab.errors import (
     DataError,
     FormatError,
     HeadError,
+    LabelError,
     PrerequisiteError,
 )
 from ewclab.network import (
@@ -164,6 +172,129 @@ class TestEstimateFisher:
         mean = scores.mean(axis=0)
         sem = scores.std(axis=0, ddof=1) / math.sqrt(m)
         assert np.all(np.abs(mean) <= 3.0 * sem + 1e-15)
+
+
+def serial_fold(store, data, mode, seed):
+    """The Fisher's bytes as one process folds ``score_samples``."""
+    sumsq = {name: np.zeros_like(values) for name, values in store.items()}
+    for score in score_samples(store, data, "taskA", mode, seed):
+        for name, s in score.items():
+            sumsq[name] += s * s
+    return np.concatenate([(total / len(data)).reshape(-1) for total in sumsq.values()]).tobytes()
+
+
+def two_size_data(n, seed=0):
+    """Patches of 5 and 6 pixels a side, so the samples draw 9 and 16
+    sampled labels each."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        size = 6 if i % 2 else 5
+        out.append((rng.normal(size=(1, size, size)), rng.integers(0, 2, size=(size - 2) ** 2)))
+    return out
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """``split(procs)`` makes ``estimate_fisher`` use ``procs`` processes
+    from ``procs`` samples on; returns the list its forks append to."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def force(procs):
+        monkeypatch.setattr(continual, "FISHER_MIN_CHUNK", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(procs)))
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return forks
+
+    return force
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the Fisher estimate splits on Linux only")
+class TestSplitFisher:
+    def test_chunks(self):
+        chunks = continual._fisher_chunks
+        assert chunks(continual.FISHER_MIN_CHUNK * 2 - 1) == [range(continual.FISHER_MIN_CHUNK * 2 - 1)]
+        if len(os.sched_getaffinity(0)) >= 2:
+            assert chunks(64) == [range(0, 32), range(32, 64)]
+
+    @pytest.mark.parametrize("procs", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    @pytest.mark.parametrize("mode", ["empirical", "sampled"])
+    def test_bytes_match_serial_fold(self, split, mode, n, procs):
+        store = tiny_net(seed=3)
+        data = two_size_data(n, seed=n)
+        expected = serial_fold(store, data, mode, 41)
+        forks = split(procs)
+        fds = open_fds()
+        fisher = estimate_fisher(store, data, "taskA", mode=mode, rng_seed=41)
+        assert len(forks) == min(procs, n) - 1
+        assert open_fds() == fds
+        assert fisher.values.tobytes() == expected
+        assert fisher.provenance.samples == n
+
+    def test_child_error_is_raised_as_one_process_raises_it(self, split):
+        store = tiny_net(seed=3)
+        data = two_size_data(7)
+        patch, labels = data[-1]
+        labels = labels.copy()
+        labels[-1] = 5
+        data[-1] = (patch, labels)
+        with pytest.raises(LabelError) as serial:
+            estimate_fisher(store, data, "taskA")
+        forks = split(3)
+        fds = open_fds()
+        with pytest.raises(LabelError, match=f"^{re.escape(str(serial.value))}$"):
+            estimate_fisher(store, data, "taskA")
+        assert len(forks) == 2
+        assert open_fds() == fds
+
+    def test_failed_fork_leaves_the_chunks_here(self, split, monkeypatch):
+        store = tiny_net(seed=3)
+        data = two_size_data(7)
+        expected = serial_fold(store, data, "sampled", 41)
+        split(3)
+
+        def no_fork():
+            raise BlockingIOError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        fds = open_fds()
+        fisher = estimate_fisher(store, data, "taskA", mode="sampled", rng_seed=41)
+        assert fisher.values.tobytes() == expected
+        assert open_fds() == fds
+
+    def test_children_do_not_flush_buffered_output(self):
+        # stdout to a pipe is block-buffered: a child that flushed on its
+        # way out would print the parent's pending line again
+        code = textwrap.dedent("""
+            import os
+            import numpy as np
+            from ewclab import continual
+            from ewclab.network import NetworkSpec, init_network
+            continual.FISHER_MIN_CHUNK = 1
+            os.sched_getaffinity = lambda pid: {0, 1, 2}
+            store = init_network(NetworkSpec(in_channels=1, trunk=(3,), heads={"taskA": 2}), seed=0)
+            rng = np.random.default_rng(0)
+            data = [(rng.normal(size=(1, 5, 5)), rng.integers(0, 2, size=9)) for _ in range(3)]
+            print("before the split")
+            continual.estimate_fisher(store, data, "taskA")
+        """)
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == b"before the split\n"
 
 
 class TestPenalty:

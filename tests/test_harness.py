@@ -13,6 +13,7 @@ import os
 import re
 import shutil
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +227,18 @@ class TestTrainLoop:
         plan = build_regime("l2", 1e6, 1, records[0].checkpoint_final, trunk=config.trunk)
         with pytest.raises(DivergenceError, match="epoch"):
             train(plan, config, bank, tmp_path / "run")
+
+    def test_divergence_warns_nothing(self, tmp_path):
+        # the overflow that precedes a divergence is reported by the
+        # DivergenceError alone, not by numpy warnings besides
+        config = tiny_config(tmp_path, epochs=3, patches_per_image=6)
+        records = run_experiment(tiny_config(tmp_path, epochs=3, patches_per_image=6, regime="dm-a"))
+        plan = build_regime("l2", 1e6, 1, records[0].checkpoint_final, trunk=config.trunk)
+        bank = SampleBank(*load_data(config))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="epoch"):
+                train(plan, config, bank, tmp_path / "run")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_run_does_not_abort_sweep(self, tmp_path):
