@@ -15,12 +15,13 @@ import hashlib
 import os
 import sys
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import network
-from .errors import ContractError, DataError, PrerequisiteError
+from .errors import ContractError, DataError, HeadError, PrerequisiteError
 from .network import FisherDiagonal, FisherProvenance, NetworkSpec, ParamStore, attach_head, init_network
 from .synthtasks import TASK_A, TASKS
 from .tensor import Graph, Tensor, backward, log_softmax, nll_loss, reshape
@@ -41,13 +42,15 @@ def _sample_labels(log_probs: Array, rng: np.random.Generator) -> Array:
     return (u[None, :] < cum).argmax(axis=0)
 
 
-def _check_inputs(params: ParamStore, data: Sequence, mode: str) -> None:
+def _check_inputs(params: ParamStore, data: Sequence, mode: str, head: str) -> None:
     if len(data) == 0:
         raise DataError("cannot estimate Fisher information from an empty dataset")
     if mode not in ("empirical", "sampled"):
         raise ContractError(f"unknown fisher mode {mode!r}")
     if params.spec is None:
         raise ContractError("store has no network spec")
+    if head not in params.spec.heads:
+        raise HeadError(f"unknown head {head!r}; have {sorted(params.spec.heads)}")
 
 
 def _sample_loss(params: ParamStore, patch: Array, labels: Array, head: str, rng) -> Tensor:
@@ -92,7 +95,7 @@ def score_samples(
     entry).  ``data`` yields (patch, label map) pairs; in ``sampled``
     mode the given labels are ignored and fresh ones are drawn per pixel.
     """
-    _check_inputs(params, data, mode)
+    _check_inputs(params, data, mode, head)
     for grads in _sample_grads(params, data, head, mode, rng_seed, range(len(data))):
         yield {name: -g for name, g in grads.items()}
 
@@ -115,10 +118,19 @@ def _fisher_chunks(samples: int) -> list[range]:
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
+def _square_rows(params, data, head, mode, rng_seed, samples: range, reached) -> Iterator[Array]:
+    """One flat row per sample of ``samples``, in order: the squared
+    gradient of each ``reached`` entry, in store order.  (Squaring the
+    gradient has the bits of squaring the negated score.)"""
+    for grads in _sample_grads(params, data, head, mode, rng_seed, samples):
+        yield np.concatenate([(grads[name] * grads[name]).reshape(-1) for name in reached])
+
+
 def _fork_scorer(params, data, head, mode, rng_seed, samples: range, reached, inherited) -> tuple[int, int]:
-    """Fork a child that scores ``samples`` and then writes one row per
-    sample to a pipe: the squared gradient of each ``reached`` entry, in
-    that order.  Returns (pid, read end).
+    """Fork a child that writes :func:`_square_rows` of ``samples`` to a
+    pipe once it has scored them all, so a full pipe never stalls it
+    while the calling process scores its own chunk.  Returns (pid, read
+    end).
 
     The child closes the ``inherited`` read ends, so each pipe has one
     reader, and a closed read end fails its write with EPIPE.  It leaves
@@ -141,37 +153,13 @@ def _fork_scorer(params, data, head, mode, rng_seed, samples: range, reached, in
         os.close(read_end)
         for pipe in inherited:
             pipe.close()
-        rows = [
-            np.concatenate([(grads[name] * grads[name]).reshape(-1) for name in reached])
-            for grads in _sample_grads(params, data, head, mode, rng_seed, samples)
-        ]
+        rows = list(_square_rows(params, data, head, mode, rng_seed, samples, reached))
         with open(write_end, "wb") as out:
             for row in rows:
                 out.write(row)
         status = 0
     finally:
         os._exit(status)
-
-
-def _fold_rows(pipe, sumsq: dict[str, Array], reached: list[str], count: int) -> int:
-    """Add up to ``count`` rows of :func:`_fork_scorer`'s from ``pipe``
-    into ``sumsq`` in row order, reading each into one reused buffer;
-    returns how many whole rows the pipe held."""
-    row = np.empty(sum(sumsq[name].size for name in reached))
-    view = memoryview(row).cast("B")
-    for done in range(count):
-        got = 0
-        while got < len(view):
-            n = pipe.readinto(view[got:])
-            if not n:
-                return done
-            got += n
-        offset = 0
-        for name in reached:
-            total = sumsq[name]
-            total += row[offset:offset + total.size].reshape(total.shape)
-            offset += total.size
-    return count
 
 
 def estimate_fisher(
@@ -188,43 +176,44 @@ def estimate_fisher(
 
     The samples split into contiguous chunks (:func:`_fisher_chunks`).
     This process scores the first chunk and a forked child each other
-    one; the children's squares are then added in sample order, so the
-    sums have the bits of one process's fold whatever the split.  This
-    process scores what a child did not deliver, so a child's error is
-    raised here as one process raises it.  Every child is reaped and
-    every pipe closed before this returns or raises.
+    one.  One loop then adds every sample's row of squares into one flat
+    sum, chunk by chunk in sample order: this process's own rows, each
+    child's whole rows from its pipe, and the rows of the samples a
+    child did not deliver, which this process scores itself.  So the
+    sums have the bits of one process's fold whatever the split, and a
+    child's error is raised here as one process raises it.  Every child
+    is reaped and every pipe closed before this returns or raises.
     """
-    _check_inputs(params, data, mode)
-    sumsq = {name: np.zeros_like(values) for name, values in params.items()}
-
-    def fold(samples: range) -> None:
-        for grads in _sample_grads(params, data, head, mode, rng_seed, samples):
-            for name, g in grads.items():
-                sumsq[name] += g * g  # the bits of squaring the negated score
-
+    _check_inputs(params, data, mode, head)
     # the entries one sample's likelihood reaches: the trunk and ``head``
     reached = [name for name in params if not name.startswith("head.") or name.startswith(f"head.{head}.")]
-    first, *rest = _fisher_chunks(len(data))
+    sizes = [params[name].size for name in reached]
+    total, row = np.zeros(sum(sizes)), np.empty(sum(sizes))
+    chunks = _fisher_chunks(len(data))
     pids, pipes = [], []
     try:
         try:
-            for samples in rest:
+            for samples in chunks[1:]:
                 pid, read_end = _fork_scorer(params, data, head, mode, rng_seed, samples, reached, pipes)
                 pids.append(pid)
-                pipes.append(open(read_end, "rb", buffering=0))
+                pipes.append(open(read_end, "rb"))
         except OSError:
             pass  # no process to spare: the chunks without a child are scored here
-        fold(first)
-        for k, samples in enumerate(rest):
-            done = _fold_rows(pipes[k], sumsq, reached, len(samples)) if k < len(pipes) else 0
-            fold(samples[done:])
+        for samples, pipe in zip_longest(chunks, [None, *pipes]):
+            done = 0
+            while pipe is not None and done < len(samples) and pipe.readinto(row) == row.nbytes:
+                done += 1
+                total += row
+            for scored in _square_rows(params, data, head, mode, rng_seed, samples[done:], reached):
+                total += scored
     finally:
         for pipe in pipes:
             pipe.close()
         for pid in pids:
             os.waitpid(pid, 0)
+    means = dict(zip(reached, np.split(total / len(data), np.cumsum(sizes)[:-1])))
     return FisherDiagonal(
-        ParamStore({name: total / len(data) for name, total in sumsq.items()}),
+        ParamStore({name: means.get(name, np.zeros(v.size)).reshape(v.shape) for name, v in params.items()}),
         FisherProvenance(dataset_id=dataset_id, head=head, mode=mode, samples=len(data)),
     )
 

@@ -33,3 +33,16 @@ def no_child_process_left():
     except ChildProcessError:
         return
     pytest.fail("the test left a child process behind")
+
+
+@pytest.fixture(autouse=True)
+def no_descriptor_left():
+    """Every test closes the file descriptors it opens."""
+    if not os.path.isdir("/proc/self/fd"):
+        yield
+        return
+    before = set(os.listdir("/proc/self/fd"))
+    yield
+    left = set(os.listdir("/proc/self/fd")) - before
+    if left:
+        pytest.fail(f"the test left file descriptors {sorted(left, key=int)} open")

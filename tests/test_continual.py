@@ -222,11 +222,21 @@ def split(monkeypatch):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="the Fisher estimate splits on Linux only")
 class TestSplitFisher:
-    def test_chunks(self):
+    def test_chunks(self, monkeypatch):
         chunks = continual._fisher_chunks
-        assert chunks(continual.FISHER_MIN_CHUNK * 2 - 1) == [range(continual.FISHER_MIN_CHUNK * 2 - 1)]
-        if len(os.sched_getaffinity(0)) >= 2:
-            assert chunks(64) == [range(0, 32), range(32, 64)]
+        least = continual.FISHER_MIN_CHUNK
+        assert chunks(least * 2 - 1) == [range(least * 2 - 1)]
+        for cores in range(1, 9):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+            assert chunks(64) == ([range(0, 32), range(32, 64)] if cores >= 2 else [range(64)])
+            for n in [1, least - 1, least, 2 * least - 1, 2 * least, 3 * least + 1, 100, 256, 257, 1000]:
+                got = chunks(n)
+                assert [i for samples in got for i in samples] == list(range(n))
+                assert all(samples.step == 1 for samples in got)
+                assert 1 <= len(got) <= cores
+                assert len(got) == 1 or min(map(len, got)) >= least
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert chunks(1000) == [range(1000)]
 
     @pytest.mark.parametrize("procs", [1, 2, 3])
     @pytest.mark.parametrize("n", [2, 3, 7])
@@ -258,6 +268,43 @@ class TestSplitFisher:
             estimate_fisher(store, data, "taskA")
         assert len(forks) == 2
         assert open_fds() == fds
+
+    def test_pipe_that_ends_mid_row_leaves_the_rest_here(self, split, monkeypatch):
+        # each child's pipe ends half-way through its second row: its first
+        # row is added, and this process scores the rest of its chunk
+        store = tiny_net(seed=3)
+        data = two_size_data(7)
+        expected = serial_fold(store, data, "sampled", 41)
+        forks = split(3)
+        real_fork_scorer = continual._fork_scorer
+        row_bytes = store.flat().nbytes
+
+        def cut_fork_scorer(*args):
+            pid, read_end = real_fork_scorer(*args)
+            with open(read_end, "rb") as pipe:
+                delivered = pipe.read()
+            assert len(delivered) == len(args[5]) * row_bytes
+            read_cut, write_cut = os.pipe()
+            with open(write_cut, "wb") as out:
+                out.write(delivered[:row_bytes * 3 // 2])
+            return pid, read_cut
+
+        monkeypatch.setattr(continual, "_fork_scorer", cut_fork_scorer)
+        fds = open_fds()
+        fisher = estimate_fisher(store, data, "taskA", mode="sampled", rng_seed=41)
+        assert len(forks) == 2
+        assert fisher.values.tobytes() == expected
+        assert open_fds() == fds
+
+    def test_unknown_head_forks_nothing(self, split):
+        store = tiny_net(seed=3)
+        data = two_size_data(7)
+        with pytest.raises(HeadError) as serial:
+            continual._sample_loss(store, *data[0], "taskB", None)
+        forks = split(3)
+        with pytest.raises(HeadError, match=f"^{re.escape(str(serial.value))}$"):
+            estimate_fisher(store, data, "taskB")
+        assert forks == []
 
     def test_failed_fork_leaves_the_chunks_here(self, split, monkeypatch):
         store = tiny_net(seed=3)
