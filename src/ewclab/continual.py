@@ -21,7 +21,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from . import network
-from .errors import ContractError, DataError, HeadError, PrerequisiteError
+from .errors import ContractError, DataError, PrerequisiteError
 from .network import FisherDiagonal, FisherProvenance, NetworkSpec, ParamStore, attach_head, init_network
 from .synthtasks import TASK_A, TASKS
 from .tensor import Graph, Tensor, backward, log_softmax, nll_loss, reshape
@@ -49,8 +49,7 @@ def _check_inputs(params: ParamStore, data: Sequence, mode: str, head: str) -> N
         raise ContractError(f"unknown fisher mode {mode!r}")
     if params.spec is None:
         raise ContractError("store has no network spec")
-    if head not in params.spec.heads:
-        raise HeadError(f"unknown head {head!r}; have {sorted(params.spec.heads)}")
+    network.check_head(params.spec, head)
 
 
 def _sample_loss(params: ParamStore, patch: Array, labels: Array, head: str, rng) -> Tensor:

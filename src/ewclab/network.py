@@ -201,11 +201,16 @@ def leaf_tensors(store: ParamStore, graph: Graph) -> dict[str, Tensor]:
     return {name: Tensor.param(name, values, graph) for name, values in store.items()}
 
 
+def check_head(spec: NetworkSpec, head: str) -> None:
+    """Raise the one unknown-head :class:`HeadError` unless ``spec`` has ``head``."""
+    if head not in spec.heads:
+        raise HeadError(f"unknown head {head!r}; have {sorted(spec.heads)}")
+
+
 def forward_logits(leaves: Mapping[str, Tensor], spec: NetworkSpec, patch: Array, head: str) -> Tensor:
     """Build the logits graph for one patch using pre-made leaf tensors
     (shared leaves let a whole batch accumulate into one GradientMap)."""
-    if head not in spec.heads:
-        raise HeadError(f"unknown head {head!r}; have {sorted(spec.heads)}")
+    check_head(spec, head)
     weights, bias = leaves[f"head.{head}.weights"], leaves[f"head.{head}.bias"]
     x = Tensor.const(np.asarray(patch, dtype=np.float64), weights.graph)
     for i in range(len(spec.trunk)):
@@ -237,8 +242,7 @@ def forward_heads(store: ParamStore, patch: Array, heads: Sequence[str]) -> list
             f"patch {patch.shape} smaller than receptive field {2 * margin + 1}"
         )
     for head in heads:
-        if head not in spec.heads:
-            raise HeadError(f"unknown head {head!r}; have {sorted(spec.heads)}")
+        check_head(spec, head)
     x = patch
     for i in range(len(spec.trunk)):
         y = conv_forward(x, store[f"trunk.{i}.kernels"], store[f"trunk.{i}.bias"])[0]

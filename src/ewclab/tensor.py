@@ -242,40 +242,36 @@ def conv_forward(x: Array, kernels: Array, bias: Array) -> tuple[Array, Array]:
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """Graph op of :func:`conv_forward`.  An unnamed leaf ``x`` is a
-    constant: the backward rule returns None for it and never computes
-    its gradient."""
+    """Graph op of :func:`conv_forward`; its backward rule takes dx from
+    one tap-major GEMM.  An unnamed leaf ``x`` is a constant: the rule
+    returns None for it and never computes its gradient."""
     out, taps = conv_forward(x.values, kernels.values, bias.values)
     c, h, w = x.shape
     o, _, k, _ = kernels.shape
     hp, wp = out.shape[1:]
-    n = hp * w
-    kmat = kernels.values.reshape(o, c * k * k)
     wants_dx = x.name is not None or bool(x.parents)
 
     def vjp(g: Array) -> tuple[Array | None, Array, Array]:
-        g_wide = np.zeros((o, hp, w))
-        g_wide[:, :, :wp] = g
-        g_wide = g_wide.reshape(o, n)
-        dk = (g_wide @ taps.T).reshape(o, c, k, k)
+        g_tall = np.zeros((o, h, w))  # g on all H rows: the first hp*W columns are its wide rows
+        g_tall[:, :hp, :wp] = g
+        g_tall = g_tall.reshape(o, h * w)
+        dk = (g_tall[:, : hp * w] @ taps.T).reshape(o, c, k, k)
         db = g.sum(axis=(1, 2))
         if not wants_dx:
             return None, dk, db
-        # Tap t = (i, j) adds its rows of dtaps into dx shifted by i*W + j.
-        # Copied into a buffer with dx's channel stride, that shifted add
-        # is one 1-D add over all channels.  Where a 2-D scatter would add
-        # nothing, it adds dtaps' dropped wide columns (g_wide is zero
-        # there) or the buffer's zero fill: all +-0.0, and adding +-0.0 to
-        # a sum begun at +0.0 changes no bit.
-        dtaps = (kmat.T @ g_wide).reshape(c, k * k, n)
-        tap = np.zeros((c, h * w))
-        flat = tap.reshape(-1)
+        # With the kernels' columns in tap-major order, tap t = (i, j)'s
+        # block of dtaps is [C, H*W], dx's own layout, so adding it into dx
+        # shifted by i*W + j is one 1-D add over all channels.  Where a
+        # 2-D scatter would add nothing, it adds columns where g_tall is
+        # zero (the dropped wide columns and the extra rows): all +-0.0,
+        # and adding +-0.0 to a sum begun at +0.0 changes no bit.
+        tap_major = np.ascontiguousarray(kernels.values.transpose(0, 2, 3, 1)).reshape(o, k * k * c)
+        dtaps = (tap_major.T @ g_tall).reshape(k * k, c * h * w)
         dx = np.zeros(c * h * w)
         for i in range(k):
             for j in range(k):
                 shift = i * w + j
-                tap[:, :n] = dtaps[:, i * k + j]
-                dx[shift:] += flat[: flat.size - shift]
+                dx[shift:] += dtaps[i * k + j, : dx.size - shift]
         return dx.reshape(c, h, w), dk, db
 
     return Tensor.op(out, (x, kernels, bias), vjp)

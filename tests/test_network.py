@@ -9,6 +9,7 @@ import struct
 import numpy as np
 import pytest
 
+from ewclab.continual import estimate_fisher
 from ewclab.errors import DimensionError, FormatError, HeadError
 from ewclab.network import (
     FisherDiagonal,
@@ -110,6 +111,19 @@ class TestForward:
         store = init_network(small_spec(), seed=0)
         with pytest.raises(HeadError, match="nope"):
             forward_heads(store, np.zeros((2, 9, 9)), ("nope",))
+
+    def test_every_entry_point_raises_the_same_unknown_head_text(self):
+        store = init_network(small_spec({"taskA": 4, "taskB": 2}), seed=0)
+        patch = np.zeros((2, 9, 9))
+        calls = [
+            lambda: forward_logits(leaf_tensors(store, Graph()), store.spec, patch, "nope"),
+            lambda: forward_heads(store, patch, ("taskA", "nope")),
+            lambda: estimate_fisher(store, [(patch, np.zeros(25, dtype=int))], "nope"),
+        ]
+        for call in calls:
+            with pytest.raises(HeadError) as raised:
+                call()
+            assert str(raised.value) == "unknown head 'nope'; have ['taskA', 'taskB']"
 
     def test_patch_too_small(self):
         store = init_network(small_spec(), seed=0)

@@ -104,6 +104,18 @@ def reference_conv_vjp(xv, kv, gv):
     return dx.reshape(c, h, w), dk, gv.sum(axis=(1, 2))
 
 
+# (C, O, K, H, W) of the default network's convs: 24-px patch layers 0-2,
+# the two 1x1 heads on layer 2's 18-px map, and a 64-px full image's layer 0
+NETWORK_CONV_SHAPES = [
+    (2, 12, 3, 24, 24),
+    (12, 12, 3, 22, 22),
+    (12, 24, 3, 20, 20),
+    (24, 4, 1, 18, 18),
+    (24, 2, 1, 18, 18),
+    (2, 12, 3, 64, 64),
+]
+
+
 class TestConv2d:
     def test_zero_input_gives_bias_planes(self):
         g = Graph()
@@ -233,9 +245,8 @@ class TestConv2d:
     @pytest.mark.parametrize("named_x", [True, False], ids=["named-x", "constant-x"])
     def test_vjp_bitwise_equals_the_2d_scatter(self, k, named_x):
         rng = np.random.default_rng(40 + k)
-        for _ in range(20):
-            c, o = rng.integers(1, 13, size=2)
-            h, w = rng.integers(k, k + 16, size=2)
+
+        def check(c, o, h, w):
             xv = rng.normal(size=(c, h, w))
             xv[xv < -0.5] = 0.0
             kv = rng.normal(size=(o, c, k, k))
@@ -255,6 +266,14 @@ class TestConv2d:
                 assert got[0] is None
             assert got[1].tobytes() == expect[1].tobytes()
             assert got[2].tobytes() == expect[2].tobytes()
+
+        for _ in range(20):
+            c, o = rng.integers(1, 13, size=2)
+            h, w = rng.integers(k, k + 16, size=2)
+            check(c, o, h, w)
+        for c, o, kk, h, w in NETWORK_CONV_SHAPES:
+            if kk == k:
+                check(c, o, h, w)
 
 
 class TestRelu:
