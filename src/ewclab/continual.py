@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import sys
 from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterator, Mapping, Sequence
@@ -22,6 +21,7 @@ import numpy as np
 
 from . import network
 from .errors import ContractError, DataError, PrerequisiteError
+from .forks import available_processes, fork_child
 from .network import FisherDiagonal, FisherProvenance, NetworkSpec, ParamStore, attach_head, init_network
 from .synthtasks import TASK_A, TASKS
 from .tensor import Graph, Tensor, backward, log_softmax, nll_loss, reshape
@@ -107,12 +107,9 @@ FISHER_MIN_CHUNK = 32
 
 def _fisher_chunks(samples: int) -> list[range]:
     """Contiguous sample ranges, one per process: at most one per
-    available core, and ``FISHER_MIN_CHUNK`` samples or more each.  Only
-    Linux splits: Windows has no fork, and macOS' Accelerate is not
-    fork-safe."""
-    procs = 1
-    if sys.platform == "linux":
-        procs = max(1, min(len(os.sched_getaffinity(0)), samples // FISHER_MIN_CHUNK))
+    available process (:func:`forks.available_processes`), and
+    ``FISHER_MIN_CHUNK`` samples or more each."""
+    procs = max(1, min(available_processes(), samples // FISHER_MIN_CHUNK))
     bounds = [samples * k // procs for k in range(procs + 1)]
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
@@ -126,39 +123,21 @@ def _square_rows(params, data, head, mode, rng_seed, samples: range, reached) ->
 
 
 def _fork_scorer(params, data, head, mode, rng_seed, samples: range, reached, inherited) -> tuple[int, int]:
-    """Fork a child that writes :func:`_square_rows` of ``samples`` to a
-    pipe once it has scored them all, so a full pipe never stalls it
-    while the calling process scores its own chunk.  Returns (pid, read
-    end).
+    """Fork a child (:func:`forks.fork_child`) that writes
+    :func:`_square_rows` of ``samples`` to a pipe once it has scored them
+    all, so a full pipe never stalls it while the calling process scores
+    its own chunk; on any error it writes nothing.  Returns (pid, read
+    end)."""
 
-    The child closes the ``inherited`` read ends, so each pipe has one
-    reader, and a closed read end fails its write with EPIPE.  It leaves
-    only by ``os._exit``: it never flushes the parent's buffered output
-    or runs exit hooks.  On any error it exits non-zero having written
-    nothing.  (numpy's OpenBLAS stops its idle thread pool before a
-    fork, so the child starts from the one thread that forked.)"""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid:
-        os.close(write_end)
-        return pid, read_end
-    status = 1
-    try:
-        os.close(read_end)
-        for pipe in inherited:
-            pipe.close()
+    def run(_, write_end: int) -> None:
         rows = list(_square_rows(params, data, head, mode, rng_seed, samples, reached))
         with open(write_end, "wb") as out:
             for row in rows:
                 out.write(row)
-        status = 0
-    finally:
-        os._exit(status)
+
+    pid, to_child, read_end = fork_child(run, inherited)
+    os.close(to_child)
+    return pid, read_end
 
 
 def estimate_fisher(

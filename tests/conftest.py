@@ -6,7 +6,15 @@ import os
 
 import pytest
 
+import ewclab
 from ewclab import network
+
+
+def pytest_report_header(config):
+    """Name the package under test: ``pythonpath = src`` puts this
+    checkout's ``src/`` ahead of ``PYTHONPATH``, so a run meant for
+    another tree tests this one."""
+    return f"ewclab: {os.path.dirname(ewclab.__file__)}"
 
 
 @pytest.fixture

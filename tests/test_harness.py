@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ewclab import harness, network, svgplot, synthtasks, tensor
+from ewclab import continual, harness, network, svgplot, synthtasks, tensor
 from ewclab.continual import REGIMES, build_regime, ewc_penalty
 from ewclab.errors import ConfigError, ContractError, DivergenceError
 from ewclab.harness import (
@@ -228,17 +228,25 @@ class TestTrainLoop:
         with pytest.raises(DivergenceError, match="epoch"):
             train(plan, config, bank, tmp_path / "run")
 
-    def test_divergence_warns_nothing(self, tmp_path):
+    def test_divergence_warns_nothing(self, tmp_path, split_steps):
         # the overflow that precedes a divergence is reported by the
-        # DivergenceError alone, not by numpy warnings besides
+        # DivergenceError alone, not by numpy warnings besides; the
+        # helper process, whose penalty overflows first, warns nothing
+        # either, or it would die and leave its terms here
         config = tiny_config(tmp_path, epochs=3, patches_per_image=6)
         records = run_experiment(tiny_config(tmp_path, epochs=3, patches_per_image=6, regime="dm-a"))
         plan = build_regime("l2", 1e6, 1, records[0].checkpoint_final, trunk=config.trunk)
         bank = SampleBank(*load_data(config))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DivergenceError, match="epoch"):
-                train(plan, config, bank, tmp_path / "run")
+        forks = []
+        for split in (False, True):
+            if split:
+                forks = split_steps()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DivergenceError, match="epoch"):
+                    train(plan, config, bank, tmp_path / "run")
+            assert len(forks) == split
+        assert list(forks.exit_codes.values()) == [0]  # the helper did not die of a warning
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_run_does_not_abort_sweep(self, tmp_path):
@@ -329,51 +337,222 @@ def unequal(tmp_path_factory):
     return config, dm_a.checkpoint_final
 
 
+class ForkLog(list):
+    """The pids ``os.fork`` returned to the forking process, and the exit
+    codes of those reaped (by pid)."""
+
+    def __init__(self):
+        super().__init__()
+        self.exit_codes = {}
+
+
+@pytest.fixture
+def split_steps(monkeypatch):
+    """``split_steps()`` makes every ``train`` run fork a step helper
+    (two available cores, no step threshold); returns a :class:`ForkLog`
+    of the forks from then on."""
+    forks = ForkLog()
+    real_fork, real_waitpid = os.fork, os.waitpid
+
+    def logged_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def logged_waitpid(pid, options):
+        reaped, status = real_waitpid(pid, options)
+        if reaped in forks:
+            forks.exit_codes[reaped] = os.waitstatus_to_exitcode(status)
+        return reaped, status
+
+    def force():
+        monkeypatch.setattr(harness, "STEP_SPLIT_MIN_STEPS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", logged_fork)
+        monkeypatch.setattr(os, "waitpid", logged_waitpid)
+        return forks
+
+    return force
+
+
+def run_files(run_dir) -> dict[str, bytes]:
+    return {name: (run_dir / name).read_bytes() for name in ("metrics.csv", "losses.csv", "final.ckpt")}
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
 class TestStreamedStep:
     @pytest.mark.parametrize("kind,lam", [
         ("ewc", 150.0), ("ewc", 0.0), ("l2", 1.0), ("finetune", 0.0), ("multitask", 0.0),
     ])
-    def test_bitwise_equal_to_the_one_graph_step(self, unequal, kind, lam):
+    def test_bitwise_equal_to_the_one_graph_step(self, unequal, kind, lam, split_steps):
+        # the step in one process, and split with a helper process
         config, checkpoint = unequal
         bank = SampleBank(*load_data(config))
         plan = build_regime(kind, lam, 1, checkpoint if REGIMES[kind].sequential else None,
                             trunk=config.trunk)
-        streamed = ParamStore(plan.store, spec=plan.store.spec)
         oracle = ParamStore(plan.store, spec=plan.store.spec)
-        v_streamed, v_oracle = {}, {}
+        stores = [ParamStore(plan.store, spec=plan.store.spec) for _ in range(2)]
+        v_oracle, velocities = {}, [{}, {}]
+        trained = [(task, images) for task, images, _ in epoch_work(plan, config, bank, 1)[0]]
+        forks = split_steps()
         sizes = set()
-        for epoch in (1, 2):
-            for step, work in enumerate(epoch_work(plan, config, bank, epoch)):
-                sizes.update(len(batch) for _, _, batch in work)
-                loss, total, grads = harness._train_step(streamed, plan, work, config, epoch, step)
-                o_loss, o_total, o_grads = one_graph_step(oracle, plan, work, config)
-                assert (loss.hex(), total.hex()) == (o_loss.hex(), o_total.hex())
-                for name, grad in o_grads.items():
-                    if name in grads:
-                        assert grads[name].tobytes() == grad.tobytes(), name
-                    else:  # no term reached it
-                        assert not grad.any(), name
-                unreached = set(o_grads) - set(grads)
-                assert unreached == ({"head.taskA.weights", "head.taskA.bias"} if kind == "finetune" else set())
-                # a missing entry updates as a zero gradient does
-                network.sgd_update(streamed, grads, v_streamed, config.learning_rate, config.momentum)
-                network.sgd_update(oracle, o_grads, v_oracle, config.learning_rate, config.momentum)
-                for name in oracle:
-                    assert streamed[name].tobytes() == oracle[name].tobytes(), name
+        with harness._step_helper(stores[1], plan, config, trained, 1) as helper:
+            assert len(forks) == 1
+            for epoch in (1, 2):
+                for step, work in enumerate(epoch_work(plan, config, bank, epoch)):
+                    sizes.update(len(batch) for _, _, batch in work)
+                    o_loss, o_total, o_grads = one_graph_step(oracle, plan, work, config)
+                    for store, velocity, step_helper in zip(stores, velocities, (None, helper)):
+                        loss, total, grads = harness._train_step(store, plan, work, config, epoch, step,
+                                                                 step_helper)
+                        assert (loss.hex(), total.hex()) == (o_loss.hex(), o_total.hex())
+                        for name, grad in o_grads.items():
+                            if name in grads:
+                                assert grads[name].tobytes() == grad.tobytes(), name
+                            else:  # no term reached it
+                                assert not grad.any(), name
+                        unreached = set(o_grads) - set(grads)
+                        assert unreached == ({"head.taskA.weights", "head.taskA.bias"}
+                                             if kind == "finetune" else set())
+                        # a missing entry updates as a zero gradient does
+                        network.sgd_update(store, grads, velocity, config.learning_rate, config.momentum)
+                    network.sgd_update(oracle, o_grads, v_oracle, config.learning_rate, config.momentum)
+                    for name in oracle:
+                        for store in stores:
+                            assert store[name].tobytes() == oracle[name].tobytes(), name
+            assert helper.alive
         assert sizes == {2, 4}  # full batches and a short last one
         if kind == "multitask":
             assert len(epoch_work(plan, config, bank, 1)) == 3  # task A has 2 batches
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_applies_no_update(self, tmp_path, monkeypatch):
+    def test_divergence_applies_no_update(self, tmp_path, monkeypatch, split_steps):
+        # in one process, then with the split on
         config = tiny_config(tmp_path)
         plan = build_regime("dm-a", 0.0, 1, trunk=config.trunk)
         plan.store["trunk.1.bias"][0] = np.inf
         updates = []
         monkeypatch.setattr(harness, "sgd_update", lambda *args: updates.append(args))
-        with pytest.raises(DivergenceError, match="epoch 1, batch 0"):
-            train(plan, config, SampleBank(*load_data(config)), tmp_path / "run")
-        assert updates == []
+        forks = []
+        for split in (False, True):
+            if split:
+                forks = split_steps()
+            with pytest.raises(DivergenceError, match="epoch 1, batch 0"):
+                train(plan, config, SampleBank(*load_data(config)), tmp_path / "run")
+            assert updates == []
+            assert len(forks) == split
+
+    @pytest.mark.parametrize("helper_term,own_term", [
+        ("diverges", "raises"), ("raises", "diverges"), ("diverges", "diverges"), (None, "diverges"),
+    ])
+    def test_split_step_raises_what_one_process_raises(self, tmp_path, monkeypatch, split_steps,
+                                                       helper_term, own_term):
+        # the batch's last patch is the helper's (the first half of the
+        # stream) and its first patch this process's; one process meets
+        # the last patch first
+        config = tiny_config(tmp_path)
+        plan = build_regime("dm-a", 0.0, 1, trunk=config.trunk)
+        bank = SampleBank(*load_data(config))
+        ((task, images, batch),) = epoch_work(plan, config, bank, 1)[0]
+        faults = {}
+        for which, position in ((helper_term, batch[-1]), (own_term, batch[0])):
+            if which is not None:
+                faults[id(images[position[0]]), position[1], position[2]] = which
+        patch_loss = harness._patch_loss
+
+        def faulty_patch_loss(leaves, spec, sample, task, top, left, config):
+            term = patch_loss(leaves, spec, sample, task, top, left, config)
+            fault = faults.get((id(sample), top, left))
+            if fault == "raises":
+                raise ContractError("a term that raises")
+            return tensor.scale(term, np.inf) if fault == "diverges" else term
+
+        monkeypatch.setattr(harness, "_patch_loss", faulty_patch_loss)
+        with pytest.raises((DivergenceError, ContractError)) as serial:
+            train(plan, config, bank, tmp_path / "serial")
+        forks = split_steps()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(type(serial.value), match=f"^{re.escape(str(serial.value))}$"):
+                train(plan, config, bank, tmp_path / "split")
+        assert isinstance(serial.value, ContractError) == (helper_term == "raises")
+        assert len(forks) == 1
+
+    def test_helper_that_exits_mid_run_gives_the_serial_bytes(self, tmp_path, monkeypatch, split_steps):
+        config = tiny_config(tmp_path, regime="ewc", epochs=3, **{"lambda": "150"})
+        records = {r.regime: r for r in run_experiment(config)}
+        bank = SampleBank(*load_data(config))
+        plan = build_regime("ewc", 150.0, 1, records["dm-a"].checkpoint_final, trunk=config.trunk)
+        train(plan, config, bank, tmp_path / "serial")
+        parent, calls = os.getpid(), []
+        scored = harness._scored
+
+        def dying_scored(*args):
+            calls.append(args)
+            if os.getpid() != parent and len(calls) == 3:
+                os._exit(3)  # the helper's third step
+            return scored(*args)
+
+        monkeypatch.setattr(harness, "_scored", dying_scored)
+        forks = split_steps()
+        fds = open_fds()
+        train(plan, config, bank, tmp_path / "split")
+        assert list(forks.exit_codes.values()) == [3]
+        assert open_fds() == fds
+        assert run_files(tmp_path / "split") == run_files(tmp_path / "serial")
+
+    def test_failed_fork_trains_in_one_process(self, tmp_path, monkeypatch, split_steps):
+        config = tiny_config(tmp_path)
+        plan = build_regime("dm-a", 0.0, 1, trunk=config.trunk)
+        bank = SampleBank(*load_data(config))
+        train(plan, config, bank, tmp_path / "serial")
+        split_steps()
+
+        def no_fork():
+            raise BlockingIOError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        fds = open_fds()
+        train(plan, config, bank, tmp_path / "unforked")
+        assert open_fds() == fds
+        assert run_files(tmp_path / "unforked") == run_files(tmp_path / "serial")
+
+    @pytest.mark.parametrize("cores,threshold", [(1, 1), (2, 7), (3, 7)])
+    def test_short_runs_and_one_core_fork_nothing(self, tmp_path, monkeypatch, split_steps, cores, threshold):
+        config = tiny_config(tmp_path, epochs=3)  # 2 steps per epoch: 6 steps
+        plan = build_regime("dm-a", 0.0, 1, trunk=config.trunk)
+        forks = split_steps()
+        monkeypatch.setattr(harness, "STEP_SPLIT_MIN_STEPS", threshold)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        train(plan, config, SampleBank(*load_data(config)), tmp_path / "run")
+        assert forks == []
+        monkeypatch.setattr(harness, "STEP_SPLIT_MIN_STEPS", 6)
+        train(plan, config, SampleBank(*load_data(config)), tmp_path / "at")
+        assert len(forks) == (cores > 1)
+
+    def test_no_helper_is_alive_while_the_fisher_estimate_forks(self, tmp_path, monkeypatch, split_steps):
+        config = tiny_config(tmp_path)
+        plan = build_regime("dm-a", 0.0, 1, trunk=config.trunk)
+        forks = split_steps()
+        monkeypatch.setattr(continual, "FISHER_MIN_CHUNK", 1)
+        children_alive = []
+        fork_scorer = continual._fork_scorer
+
+        def checked_fork_scorer(*args):
+            try:
+                children_alive.append(os.waitpid(-1, os.WNOHANG))
+            except ChildProcessError:
+                children_alive.append(None)
+            return fork_scorer(*args)
+
+        monkeypatch.setattr(continual, "_fork_scorer", checked_fork_scorer)
+        train(plan, config, SampleBank(*load_data(config)), tmp_path / "run")
+        assert children_alive == [None]  # one Fisher child, forked once the helper is reaped
+        assert len(forks) == 2
 
     def test_run_files_are_pinned(self, tmp_path):
         # digests computed with the one-graph step of the same numeric
@@ -387,32 +566,36 @@ class TestStreamedStep:
                 digests[kind, name] = hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
         assert digests == PINNED_RUN_FILES
 
-    def test_step_memory_does_not_grow_with_batch_size(self, tmp_path, monkeypatch):
+    def test_step_memory_does_not_grow_with_batch_size(self, tmp_path, monkeypatch, split_steps):
         # the traced peak between consecutive updates: one patch's arrays
-        # at a time, whatever the batch holds
+        # at a time, whatever the batch holds; with the helper, one map
+        # per term of this process's half besides
         update = harness.sgd_update
-        peaks = {}
-        for batch_size in (2, 8):
-            config = tiny_config(tmp_path / str(batch_size), batch_size=batch_size,
-                                 patches_per_image=8, epochs=1)
-            plan = build_regime("dm-a", 0.0, 1, trunk=config.trunk)
-            bank = SampleBank(*load_data(config))
-            samples = []
+        for split in (False, True):
+            forks = split_steps() if split else []
+            peaks = {}
+            for batch_size in (2, 8):
+                config = tiny_config(tmp_path / str(split) / str(batch_size), batch_size=batch_size,
+                                     patches_per_image=8, epochs=1)
+                plan = build_regime("dm-a", 0.0, 1, trunk=config.trunk)
+                bank = SampleBank(*load_data(config))
+                samples = []
 
-            def traced_update(*args):
-                update(*args)
-                samples.append(tracemalloc.get_traced_memory()[1])
-                tracemalloc.reset_peak()
+                def traced_update(*args):
+                    update(*args)
+                    samples.append(tracemalloc.get_traced_memory()[1])
+                    tracemalloc.reset_peak()
 
-            monkeypatch.setattr(harness, "sgd_update", traced_update)
-            tracemalloc.start()
-            try:
-                train(plan, config, bank, tmp_path / str(batch_size) / "run")
-            finally:
-                tracemalloc.stop()
-            assert len(samples) >= 3
-            peaks[batch_size] = max(samples[1:])  # the first interval holds the set-up
-        assert peaks[8] <= 1.5 * peaks[2], peaks
+                monkeypatch.setattr(harness, "sgd_update", traced_update)
+                tracemalloc.start()
+                try:
+                    train(plan, config, bank, tmp_path / str(split) / str(batch_size) / "run")
+                finally:
+                    tracemalloc.stop()
+                assert len(samples) >= 3
+                peaks[batch_size] = max(samples[1:])  # the first interval holds the set-up
+            assert peaks[8] <= 1.5 * peaks[2], (split, peaks)
+            assert len(forks) == 2 * split
 
 
 # sha256 of a tiny sweep's run files (multitask, and ewc at lambda 150)
