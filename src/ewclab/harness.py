@@ -16,9 +16,9 @@ import pickle
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields as dataclass_fields
-from functools import reduce
+from functools import partial, reduce
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -394,9 +394,17 @@ def _patch_loss(leaves, spec, sample: ScanSample, task: TaskDef, top: int, left:
 # Fewest steps in a run worth a helper process.  On a 2-vCPU host,
 # forking and reaping it took ~3 ms, its first step ~4 ms more than a
 # steady one, and the calling process ~2,200 more copy-on-write faults
-# per run, against ~1 ms saved per steady step (6.3 → 5.3 ms, the
-# default network on 8-patch batches with the EWC penalty).
+# per run, against ~1.9 ms saved per steady step (6.55 → 4.62 ms wall,
+# the default network on 8-patch batches with the EWC penalty; the
+# calling process's CPU time per step 5.22 → 3.29 ms).  The grid's
+# 6-step runs fork nothing.
 STEP_SPLIT_MIN_STEPS = 32
+
+
+def _helper_share(n: int) -> int:
+    """How many of a job's ``n`` items the helper takes, from the first:
+    half, rounded up."""
+    return (n + 1) // 2
 
 
 def _step_units(plan: RegimePlan, work) -> list[tuple[int, int] | None]:
@@ -448,12 +456,12 @@ def _train_step(store: ParamStore, plan: RegimePlan, work, config, epoch: int, s
     Entries no term reaches are absent from the map.
 
     With a ``helper`` the helper process scores the first half of the
-    terms and folds them into one map, as this function does alone,
-    while this process scores the second half, one map per term, and
-    then adds each into the helper's map in order.  Each entry takes one
-    contribution per term, so those are the same adds in the same order,
-    and no bit moves.  Should the helper fail, this process scores its
-    terms too.
+    terms and folds them into one map, as this function does alone
+    (:func:`_step_job`), while this process scores the second half, one
+    map per term, and then adds each into the helper's map in order.
+    Each entry takes one contribution per term, so those are the same
+    adds in the same order, and no bit moves.  Should the helper fail,
+    this process scores its terms too.
 
     A non-finite term or total raises :class:`DivergenceError` before
     any update.  Errors are those of one process: the helper's terms
@@ -461,19 +469,19 @@ def _train_step(store: ParamStore, plan: RegimePlan, work, config, epoch: int, s
     process's terms.
     """
     units = _step_units(plan, work)
-    split = helper.request(store, work, epoch, step, (len(units) + 1) // 2) if helper else 0
+    split = _helper_share(len(units)) if helper else 0
+    if split and not helper.request(store, "step", [batch for _, _, batch in work], epoch, step, split):
+        split = 0
     grads: GradientMap = {}
     values: list[float] = []
     try:
         own = list(_scored(store, plan, work, config, units[split:], epoch, step, None if split else grads))
     finally:
         if split:  # the helper's terms come first: their error is raised first
-            reply = helper.reply(epoch, step)
-            if reply is None:  # the helper failed: its terms are scored here
-                ahead = _scored(store, plan, work, config, units[:split], epoch, step, grads)
-                values = [value for value, _ in ahead]
-            else:
-                values, grads = reply
+            values, grads = helper.reply(lambda: (
+                [value for value, _ in _scored(store, plan, work, config, units[:split], epoch, step, grads)], grads))
+            if values is None:  # one of the helper's terms is not finite
+                raise DivergenceError(epoch, step)
     for value, term_grads in own:
         values.append(value)
         if split:
@@ -495,69 +503,89 @@ def _train_step(store: ParamStore, plan: RegimePlan, work, config, epoch: int, s
     return loss, total, grads
 
 
-class _StepHelper:
-    """A forked process that scores the first part of each training
-    step's terms (:func:`_train_step`) at the store it is sent.
+def _step_job(store: ParamStore, plan: RegimePlan, config, trained: list[tuple[TaskDef, list]]):
+    """The helper's ``step`` job: ``job(batches, epoch, step, split)``
+    scores the first ``split`` terms of the step whose batch positions
+    are ``batches``, one per task of ``trained``, at ``store``, folded
+    into one map as :func:`_train_step` folds them alone.  Its one reply
+    is the terms' values and map, or no values for a non-finite term."""
 
-    Each request pickles the store's values and the step's batch
-    positions; each reply, the terms' values and their gradient map, or
-    no values for a non-finite term.  The helper forks inside
-    ``train``'s ``np.errstate``, so it warns as little as the calling
-    process.  A helper that fails to reply is dead for the rest of the
-    run: this process then scores every term itself.
+    def job(batches, epoch: int, step: int, split: int):
+        work = [(task, images, batch) for (task, images), batch in zip(trained, batches)]
+        grads: GradientMap = {}
+        try:
+            values = [value for value, _ in _scored(
+                store, plan, work, config, _step_units(plan, work)[:split], epoch, step, grads)]
+        except DivergenceError:
+            values, grads = None, {}
+        yield values, grads
+
+    return job
+
+
+class _StepHelper:
+    """A forked process that does the first part of each job a run sends
+    it, at the store the request carries.  ``jobs`` maps a job's name to
+    a function of the job's arguments that yields its replies.  ``train``
+    gives it three, and does the rest of each job itself:
+
+    - ``step``: the first half of a training step's terms
+      (:func:`_step_job`);
+    - ``patch``: the first half of each eval task's patches, one reply
+      of confusion counts per task;
+    - ``full``: the first half of the validation images, one reply of
+      each eval task's confusion counts.
+
+    The jobs' code and data are inherited at fork.  Each request pickles
+    the store's values, this process's numpy error state (``np.geterr``)
+    and the job's name and arguments; the helper runs the job under that
+    error state, so it warns as little as this process does.  A helper
+    that fails to reply is dead for the rest of the run: this process
+    then does all the work itself.
     """
 
-    def __init__(self, store: ParamStore, plan: RegimePlan, config, trained: list[tuple[TaskDef, list]]):
+    def __init__(self, store: ParamStore, jobs: dict[str, Callable[..., Iterable]]):
         def run(read_end: int, write_end: int) -> None:
             offsets = np.cumsum([arr.size for arr in store.values()])[:-1]
             with open(read_end, "rb") as requests, open(write_end, "wb") as replies:
                 while True:
                     try:
-                        flat, batches, epoch, step, split = pickle.load(requests)
+                        flat, errors, job, args = pickle.load(requests)
                     except EOFError:
                         return  # the calling process is done
                     for arr, part in zip(store.values(), np.split(flat, offsets)):
                         arr[...] = part.reshape(arr.shape)
-                    work = [(task, images, batch) for (task, images), batch in zip(trained, batches)]
-                    grads: GradientMap = {}
-                    try:
-                        values = [value for value, _ in _scored(
-                            store, plan, work, config, _step_units(plan, work)[:split], epoch, step, grads)]
-                    except DivergenceError:
-                        values, grads = None, {}
-                    pickle.dump((values, grads), replies, pickle.HIGHEST_PROTOCOL)
-                    replies.flush()
+                    with np.errstate(**errors):
+                        for reply in jobs[job](*args):
+                            pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
+                            replies.flush()
 
         self.pid, write_end, read_end = fork_child(run)
         self.requests = open(write_end, "wb")
         self.replies = open(read_end, "rb")
         self.alive = True
 
-    def request(self, store: ParamStore, work, epoch: int, step: int, split: int) -> int:
-        """Ask for the first ``split`` terms of the step at ``store``;
-        returns ``split``, or 0 when the helper is dead."""
+    def request(self, store: ParamStore, job: str, *args) -> bool:
+        """Send ``job`` with ``args`` at ``store``; False when the helper
+        is dead."""
         if self.alive:
             try:
-                request = (store.flat(), [batch for _, _, batch in work], epoch, step, split)
-                pickle.dump(request, self.requests, pickle.HIGHEST_PROTOCOL)
+                pickle.dump((store.flat(), np.geterr(), job, args), self.requests, pickle.HIGHEST_PROTOCOL)
                 self.requests.flush()
-                return split
+                return True
             except OSError:
                 self.alive = False
-        return 0
+        return False
 
-    def reply(self, epoch: int, step: int) -> tuple[list[float], GradientMap] | None:
-        """The requested terms' values and gradient map; None when the
-        helper died before replying in full.  A non-finite term raises
-        :class:`DivergenceError`."""
+    def reply(self, own: Callable[[], object]):
+        """The pending job's next reply.  Should the helper die before
+        sending it in full, it is dead for the rest of the run, and this
+        returns ``own()``: this process does that part itself."""
         try:
-            values, grads = pickle.load(self.replies)
+            return pickle.load(self.replies)
         except (EOFError, OSError, pickle.UnpicklingError):
             self.alive = False
-            return None
-        if values is None:
-            raise DivergenceError(epoch, step)
-        return values, grads
+            return own()
 
     def close(self) -> None:
         """End the helper: close both pipes, so it reads EOF or fails its
@@ -571,17 +599,18 @@ class _StepHelper:
 
 
 @contextmanager
-def _step_helper(store: ParamStore, plan: RegimePlan, config, trained, steps: int) -> Iterator[_StepHelper | None]:
-    """A :class:`_StepHelper` for a run of ``steps`` steps when it has
-    ``STEP_SPLIT_MIN_STEPS`` or more and two processes are available
-    (:func:`forks.available_processes`); else, or when no process can be
-    forked, None.  The helper is reaped on every exit."""
+def _step_helper(store: ParamStore, jobs: dict[str, Callable[..., Iterable]], steps: int
+                 ) -> Iterator[_StepHelper | None]:
+    """A :class:`_StepHelper` running ``jobs`` for a run of ``steps``
+    steps when it has ``STEP_SPLIT_MIN_STEPS`` or more and two processes
+    are available (:func:`forks.available_processes`); else, or when no
+    process can be forked, None.  The helper is reaped on every exit."""
     helper = None
     if steps >= STEP_SPLIT_MIN_STEPS and available_processes() >= 2:
         try:
-            helper = _StepHelper(store, plan, config, trained)
+            helper = _StepHelper(store, jobs)
         except OSError:
-            pass  # no process to spare: this process scores every term
+            pass  # no process to spare: this process does all the work
     try:
         yield helper
     finally:
@@ -603,10 +632,17 @@ def train(
     it complete.
 
     A run of ``STEP_SPLIT_MIN_STEPS`` steps or more in all forks one
-    helper process for its epoch loop (:func:`_step_helper`) that scores
-    half of each step's terms, bit for bit; it is reaped before the
-    final scoring, so none is alive while dm-a's Fisher estimate forks
-    its own children."""
+    helper process (:func:`_step_helper`) before its first scoring and
+    reaps it after the final full scoring, before dm-a's Fisher estimate
+    forks its own children and before the run directory is made.  The
+    helper scores half of each step's terms, bit for bit (see
+    :func:`_train_step`), and half of each scoring: the first half of
+    each eval task's patches at every epoch's patch scoring, and the
+    first half of the validation images at the full scoring.  Dice comes
+    from int64 confusion counts, and integer sums do not depend on their
+    order, so the helper's counts added to this process's give the one
+    process's scores; should the helper fail, this process counts its
+    half too."""
     t0 = time.monotonic()
     config.validate()
     rid = run_id(plan.kind, plan.lam, plan.seed, config_digest(config, manifest_text(bank.manifest, bank.config)))
@@ -620,55 +656,79 @@ def train(
     validation = data.split("validation")
     if eval_sets is None:
         eval_sets = {t.task_id: build_eval_patches(validation, t, config) for t in eval_tasks}
+    trained = [(task, data.split(f"train_{task.task_id}")) for task in tasks]
+
+    def patch_counts(task: TaskDef, split: int) -> Array:
+        """Confusion counts of the first ``split`` of ``task``'s eval patches."""
+        return metrics.patch_counts(store, task.head, task, eval_sets[task.task_id][:split])
+
+    def full_counts(split: int) -> list[Array]:
+        """Each eval task's confusion counts over the first ``split`` images."""
+        return metrics.full_counts(store, eval_tasks, validation[:split], config.tile)
 
     rows: list[MetricRow] = []
 
-    def score(epoch: int, scope: str) -> None:
+    def score(epoch: int, scope: str, helper: _StepHelper | None) -> None:
         """Append one evaluation's Dice rows, tasks then classes in order;
-        full scope scores every task in one pass over the images."""
+        full scope scores every task in one pass over the images.  This
+        process enters ``metrics.evaluate_model`` once per task at every
+        patch scoring, helper or not."""
         if scope == "full":
-            scores = metrics.evaluate_full(store, eval_tasks, validation, tile=config.tile)
+            split = _helper_share(len(validation))
+            if helper is not None and helper.request(store, "full", split):
+                more = partial(helper.reply, partial(full_counts, split))
+            else:
+                split, more = 0, None
+            scores = metrics.evaluate_full(store, eval_tasks, validation[split:], config.tile, more)
         else:
-            scores = {
-                task.task_id: metrics.evaluate_model(store, task.head, task, eval_sets[task.task_id], scope)
-                for task in eval_tasks
-            }
+            splits = [_helper_share(len(eval_sets[task.task_id])) for task in eval_tasks]
+            asked = helper is not None and helper.request(store, "patch", splits)
+            scores = {}
+            for task, split in zip(eval_tasks, splits):
+                if asked:
+                    more = partial(helper.reply, partial(patch_counts, task, split))
+                else:
+                    split, more = 0, None
+                samples = eval_sets[task.task_id][split:]
+                scores[task.task_id] = metrics.evaluate_model(store, task.head, task, samples, scope, more)
         rows.extend(
             MetricRow(rid, plan.kind, plan.lam, plan.seed, epoch, scope, task.task_id, name, value)
             for task in eval_tasks
             for name, value in scores[task.task_id].items()
         )
 
-    score(0, "patch")
     losses: list[tuple[int, float | None, float]] = [(0, None, 0.0)]  # epoch, loss, penalty
-
-    trained = [(task, data.split(f"train_{task.task_id}")) for task in tasks]
     velocity: dict[str, Array] = {}
     # each epoch draws patches_per_image patches per image, in batches
     steps = max(-(-len(images) * config.patches_per_image // config.batch_size) for _, images in trained)
+    jobs = {
+        "step": _step_job(store, plan, config, trained),
+        "patch": lambda splits: map(patch_counts, eval_tasks, splits),
+        "full": lambda split: [full_counts(split)],
+    }
 
-    # a diverging step overflows before DivergenceError names its epoch
-    # and step; the helper, forked inside, inherits the setting
-    with np.errstate(over="ignore", invalid="ignore"), \
-            _step_helper(store, plan, config, trained, config.epochs * steps) as helper:
-        for epoch in range(1, config.epochs + 1):
-            per_task_batches = [
-                _epoch_batches(images, task, config, seeded_rng(plan.seed, "epoch", epoch, task.task_id))
-                for task, images in trained
-            ]
-            loss_sum = 0.0
-            penalty_sum = 0.0
-            for step in range(steps):
-                work = [(task, images, batches[step % len(batches)])
-                        for (task, images), batches in zip(trained, per_task_batches)]
-                loss_value, total_value, grads = _train_step(store, plan, work, config, epoch, step, helper)
-                loss_sum += loss_value
-                penalty_sum += total_value - loss_value
-                sgd_update(store, grads, velocity, config.learning_rate, config.momentum)
-            losses.append((epoch, loss_sum / steps, penalty_sum / steps))
-            score(epoch, "patch")
-
-    score(config.epochs, "full")
+    with _step_helper(store, jobs, config.epochs * steps) as helper:
+        score(0, "patch", helper)
+        # a diverging step overflows before DivergenceError names its
+        # epoch and step; the helper's jobs take the same setting
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(1, config.epochs + 1):
+                per_task_batches = [
+                    _epoch_batches(images, task, config, seeded_rng(plan.seed, "epoch", epoch, task.task_id))
+                    for task, images in trained
+                ]
+                loss_sum = 0.0
+                penalty_sum = 0.0
+                for step in range(steps):
+                    work = [(task, images, batches[step % len(batches)])
+                            for (task, images), batches in zip(trained, per_task_batches)]
+                    loss_value, total_value, grads = _train_step(store, plan, work, config, epoch, step, helper)
+                    loss_sum += loss_value
+                    penalty_sum += total_value - loss_value
+                    sgd_update(store, grads, velocity, config.learning_rate, config.momentum)
+                losses.append((epoch, loss_sum / steps, penalty_sum / steps))
+                score(epoch, "patch", helper)
+        score(config.epochs, "full", helper)
 
     fisher = task_a_fisher(store, data.split("train_a"), config) if plan.kind == "dm-a" else None
     run_dir = Path(run_dir)

@@ -9,7 +9,7 @@ class absent from both prediction and reference is *undefined*, not 0 or
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -95,13 +95,19 @@ def _confusion_dice(confusion: Array, n_classes: int) -> list[float | None]:
     return [None if size == 0 else 2.0 * int(hit) / int(size) for hit, size in zip(hits, sizes)]
 
 
-def pooled_dice(pairs, n_classes: int) -> list[float | None]:
-    """Dice per class id from one k x k confusion pooled over every
-    (prediction, truth) pair; None for a class absent from all maps."""
+def pooled_counts(pairs, n_classes: int) -> Array:
+    """Flat k x k confusion counts pooled over every (prediction, truth)
+    pair."""
     confusion = np.zeros(n_classes * n_classes, dtype=np.int64)
     for pred, truth in pairs:
         confusion += _confusion_counts(pred, truth, n_classes)
-    return _confusion_dice(confusion, n_classes)
+    return confusion
+
+
+def pooled_dice(pairs, n_classes: int) -> list[float | None]:
+    """Dice per class id from one k x k confusion pooled over every
+    (prediction, truth) pair; None for a class absent from all maps."""
+    return _confusion_dice(pooled_counts(pairs, n_classes), n_classes)
 
 
 def _class_scores(task: TaskDef, scores: list[float | None]) -> dict[str, float]:
@@ -113,16 +119,13 @@ def _class_scores(task: TaskDef, scores: list[float | None]) -> dict[str, float]
     }
 
 
-def evaluate_full(
-    store: ParamStore, tasks: Sequence[TaskDef], samples, tile: int = 0
-) -> dict[str, dict[str, float]]:
-    """Pooled full-image Dice per foreground class name of each task, keyed
-    by task id.
+def full_counts(store: ParamStore, tasks: Sequence[TaskDef], samples, tile: int = 0) -> list[Array]:
+    """Flat confusion counts of each task's head over full images, pooled
+    image by image: the counts behind :func:`evaluate_full`.
 
     ``samples`` are :class:`ScanSample`; each task's head is scored on the
-    predictable interior against the task's label map, with confusion
-    counts pooled image by image.  Every image runs the trunk once per
-    window for all the tasks' heads.  Undefined classes are excluded.
+    predictable interior against the task's label map.  Every image runs
+    the trunk once per window for all the tasks' heads.
     """
     margin = output_margin(store.spec)
     heads = [task.head for task in tasks]
@@ -132,19 +135,51 @@ def evaluate_full(
         for task, pred, confusion in zip(tasks, maps, confusions):
             confusion += _confusion_counts(pred, interior(task.labels_of(s), margin), task.n_classes)
         del maps  # released before the next image's trunk pass
+    return confusions
+
+
+def evaluate_full(
+    store: ParamStore, tasks: Sequence[TaskDef], samples, tile: int = 0,
+    more_counts: Callable[[], list[Array]] | None = None,
+) -> dict[str, dict[str, float]]:
+    """Pooled full-image Dice per foreground class name of each task, keyed
+    by task id, from :func:`full_counts` over ``samples``.  Undefined
+    classes are excluded.
+
+    ``more_counts``, when given, returns each task's counts of further
+    images scored elsewhere; they are added once these images are
+    counted.  Integer sums do not depend on their order, so the scores
+    are those of one pass over all the images.
+    """
+    confusions = full_counts(store, tasks, samples, tile)
+    if more_counts is not None:
+        for confusion, more in zip(confusions, more_counts()):
+            confusion += more
     return {
         task.task_id: _class_scores(task, _confusion_dice(confusion, task.n_classes))
         for task, confusion in zip(tasks, confusions)
     }
 
 
-def evaluate_model(store: ParamStore, head: str, task: TaskDef, samples, scope: str) -> dict[str, float]:
+def patch_counts(store: ParamStore, head: str, task: TaskDef, samples) -> Array:
+    """Flat confusion counts of ``head`` over (patch, truth window) pairs,
+    whose truth already matches the network's output window: the counts
+    behind :func:`evaluate_model`."""
+    pairs = ((forward_heads(store, patch, (head,))[0].argmax(axis=0), truth) for patch, truth in samples)
+    return pooled_counts(pairs, task.n_classes)
+
+
+def evaluate_model(store: ParamStore, head: str, task: TaskDef, samples, scope: str,
+                   more_counts: Callable[[], Array] | None = None) -> dict[str, float]:
     """Pooled Dice per foreground class name over (patch, truth window)
-    pairs, whose truth already matches the network's output window, in
-    class order; undefined classes are excluded.  ``scope`` must be
-    ``'patch'``: full images are scored by :func:`evaluate_full`.
+    pairs (:func:`patch_counts`), in class order; undefined classes are
+    excluded.  ``scope`` must be ``'patch'``: full images are scored by
+    :func:`evaluate_full`.  ``more_counts`` adds the counts of further
+    pairs scored elsewhere, as in :func:`evaluate_full`.
     """
     if scope != "patch":
         raise DimensionError(f"unknown scope {scope!r}")
-    pairs = ((forward_heads(store, patch, (head,))[0].argmax(axis=0), truth) for patch, truth in samples)
-    return _class_scores(task, pooled_dice(pairs, task.n_classes))
+    confusion = patch_counts(store, head, task, samples)
+    if more_counts is not None:
+        confusion += more_counts()
+    return _class_scores(task, _confusion_dice(confusion, task.n_classes))

@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ewclab import continual, harness, network, svgplot, synthtasks, tensor
+from ewclab import continual, harness, metrics, network, svgplot, synthtasks, tensor
 from ewclab.continual import REGIMES, build_regime, ewc_penalty
 from ewclab.errors import ConfigError, ContractError, DivergenceError
 from ewclab.harness import (
@@ -338,21 +338,32 @@ def unequal(tmp_path_factory):
 
 
 class ForkLog(list):
-    """The pids ``os.fork`` returned to the forking process, and the exit
-    codes of those reaped (by pid)."""
+    """The pids ``os.fork`` returned to the forking process, the exit
+    codes of those reaped (by pid), and how many Fisher estimates began
+    with every logged fork reaped."""
 
     def __init__(self):
         super().__init__()
         self.exit_codes = {}
+        self.fishers = 0
 
 
 @pytest.fixture
 def split_steps(monkeypatch):
     """``split_steps()`` makes every ``train`` run fork a step helper
     (two available cores, no step threshold); returns a :class:`ForkLog`
-    of the forks from then on."""
+    of the forks from then on.  A Fisher estimate that ``train`` begins
+    (``continual.estimate_fisher``, through harness's binding) while a
+    logged fork is unreaped fails the test."""
     forks = ForkLog()
     real_fork, real_waitpid = os.fork, os.waitpid
+    estimate_fisher = harness.estimate_fisher
+
+    def checked_estimate_fisher(*args, **kwargs):
+        alive = [pid for pid in forks if pid not in forks.exit_codes]
+        assert not alive, f"children {alive} alive as the Fisher estimate begins"
+        forks.fishers += 1
+        return estimate_fisher(*args, **kwargs)
 
     def logged_fork():
         pid = real_fork()
@@ -371,6 +382,7 @@ def split_steps(monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(os, "fork", logged_fork)
         monkeypatch.setattr(os, "waitpid", logged_waitpid)
+        monkeypatch.setattr(harness, "estimate_fisher", checked_estimate_fisher)
         return forks
 
     return force
@@ -400,7 +412,8 @@ class TestStreamedStep:
         trained = [(task, images) for task, images, _ in epoch_work(plan, config, bank, 1)[0]]
         forks = split_steps()
         sizes = set()
-        with harness._step_helper(stores[1], plan, config, trained, 1) as helper:
+        jobs = {"step": harness._step_job(stores[1], plan, config, trained)}
+        with harness._step_helper(stores[1], jobs, 1) as helper:
             assert len(forks) == 1
             for epoch in (1, 2):
                 for step, work in enumerate(epoch_work(plan, config, bank, epoch)):
@@ -553,6 +566,7 @@ class TestStreamedStep:
         train(plan, config, SampleBank(*load_data(config)), tmp_path / "run")
         assert children_alive == [None]  # one Fisher child, forked once the helper is reaped
         assert len(forks) == 2
+        assert forks.fishers == 1
 
     def test_run_files_are_pinned(self, tmp_path):
         # digests computed with the one-graph step of the same numeric
@@ -596,6 +610,97 @@ class TestStreamedStep:
                 peaks[batch_size] = max(samples[1:])  # the first interval holds the set-up
             assert peaks[8] <= 1.5 * peaks[2], (split, peaks)
             assert len(forks) == 2 * split
+
+
+def ewc_plan(config):
+    """The ewc plan at lambda 150 from ``config``'s dm-a run."""
+    records = {r.regime: r for r in run_experiment(config)}
+    return build_regime("ewc", 150.0, 1, records["dm-a"].checkpoint_final, trunk=config.trunk)
+
+
+class TestSplitScoring:
+    @pytest.mark.parametrize("kind", ["dm-a", "ewc"])
+    def test_split_scoring_writes_the_serial_rows(self, tmp_path, monkeypatch, split_steps, kind):
+        # one eval task (dm-a) and two (ewc); epoch 0, the later epochs
+        # and the full scope, each scored half here and half in the helper
+        config = tiny_config(tmp_path, regime="ewc", epochs=3, **{"lambda": "150"})
+        plan = ewc_plan(config) if kind == "ewc" else build_regime(kind, 0.0, 1, trunk=config.trunk)
+        bank = SampleBank(*load_data(config))
+        train(plan, config, bank, tmp_path / "serial")
+        parent, scored = os.getpid(), []
+        evaluate_model, evaluate_full = metrics.evaluate_model, metrics.evaluate_full
+
+        def logged_evaluate_model(store, head, task, samples, scope, *args):
+            scored.append((os.getpid(), scope, len(samples)))
+            return evaluate_model(store, head, task, samples, scope, *args)
+
+        def logged_evaluate_full(store, tasks, samples, *args):
+            scored.append((os.getpid(), "full", len(samples)))
+            return evaluate_full(store, tasks, samples, *args)
+
+        monkeypatch.setattr(metrics, "evaluate_model", logged_evaluate_model)
+        monkeypatch.setattr(metrics, "evaluate_full", logged_evaluate_full)
+        forks = split_steps()
+        train(plan, config, bank, tmp_path / "split")
+        assert list(forks.exit_codes.values()) == [0]
+        serial = (tmp_path / "serial" / "metrics.csv").read_bytes()
+        assert (tmp_path / "split" / "metrics.csv").read_bytes() == serial
+        rows = [MetricRow.from_csv_line(line) for line in serial.decode().splitlines()[1:]]
+        assert {(row.epoch, row.scope) for row in rows} == {(0, "patch"), (1, "patch"), (2, "patch"),
+                                                            (3, "patch"), (3, "full")}
+        assert {row.task for row in rows} == set(plan.eval_tasks)
+        # this process counted the second half of each set, rounded down
+        tasks = len(plan.eval_tasks)
+        assert scored == [(parent, "patch", 3)] * 4 * tasks + [(parent, "full", 1)]
+
+    @pytest.mark.parametrize("counts", ["patch_counts", "full_counts"])
+    def test_helper_that_dies_at_its_first_scoring_gives_the_serial_bytes(self, tmp_path, monkeypatch,
+                                                                          split_steps, counts):
+        # the first request of the run (epoch 0's patches), or the first
+        # full scoring, after the helper has scored every step
+        config = tiny_config(tmp_path, regime="ewc", epochs=3, **{"lambda": "150"})
+        plan = ewc_plan(config)
+        bank = SampleBank(*load_data(config))
+        train(plan, config, bank, tmp_path / "serial")
+        parent, count = os.getpid(), getattr(metrics, counts)
+
+        def dying_count(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return count(*args)
+
+        monkeypatch.setattr(metrics, counts, dying_count)
+        forks = split_steps()
+        fds = open_fds()
+        train(plan, config, bank, tmp_path / "split")
+        assert list(forks.exit_codes.values()) == [3]
+        assert open_fds() == fds
+        assert run_files(tmp_path / "split") == run_files(tmp_path / "serial")
+
+    def test_every_patch_scoring_enters_evaluate_model_here(self, tmp_path, monkeypatch, split_steps):
+        # perfbench's step clock restarts when this process enters
+        # metrics.evaluate_model, so a split run still enters it once per
+        # task at every patch scoring, epochs 0 to 3, between the steps
+        config = tiny_config(tmp_path, regime="ewc", epochs=3, **{"lambda": "150"})
+        plan = ewc_plan(config)
+        parent, events = os.getpid(), []
+        update, evaluate_model = harness.sgd_update, metrics.evaluate_model
+
+        def logged_update(*args):
+            events.append((os.getpid(), "step"))
+            return update(*args)
+
+        def logged_evaluate_model(store, head, task, *args):
+            events.append((os.getpid(), task.task_id))
+            return evaluate_model(store, head, task, *args)
+
+        monkeypatch.setattr(harness, "sgd_update", logged_update)
+        monkeypatch.setattr(metrics, "evaluate_model", logged_evaluate_model)
+        forks = split_steps()
+        train(plan, config, SampleBank(*load_data(config)), tmp_path / "run")
+        assert len(forks) == 1
+        scoring = [(parent, "a"), (parent, "b")]
+        assert events == scoring + ([(parent, "step")] * 2 + scoring) * 3  # two steps an epoch
 
 
 # sha256 of a tiny sweep's run files (multitask, and ewc at lambda 150)

@@ -10,7 +10,9 @@ from ewclab.metrics import (
     dice,
     evaluate_full,
     evaluate_model,
+    full_counts,
     interior,
+    patch_counts,
     pooled_dice,
     predict_full,
     predict_full_heads,
@@ -171,6 +173,23 @@ class TestEvaluateModel:
             expect = {task.class_names[c]: v for c, v in enumerate(reference) if c > 0 and v is not None}
             assert scores[task.task_id] == expect
             assert evaluate_full(store, [task], samples, tile=tile) == {task.task_id: expect}
+
+    @pytest.mark.parametrize("split", [0, 1, 2, 3])
+    def test_counts_of_a_split_give_the_whole_scores(self, split):
+        # the counts of the first ``split`` samples scored apart and added
+        # after the rest, as a run's helper sends them
+        samples = self.samples + [generate_sample(13, self.config)]
+        tasks = [TASK_A, TASK_B]
+        whole = evaluate_full(self.store, tasks, samples)
+        rest = evaluate_full(self.store, tasks, samples[split:],
+                             more_counts=lambda: full_counts(self.store, tasks, samples[:split]))
+        assert rest == whole
+        m = self.margin
+        patches = [(s.channels[:, :14, :14], s.labels_a[m : 14 - m, m : 14 - m]) for s in samples]
+        whole = evaluate_model(self.store, "taskA", TASK_A, patches, "patch")
+        rest = evaluate_model(self.store, "taskA", TASK_A, patches[split:], "patch",
+                              lambda: patch_counts(self.store, "taskA", TASK_A, patches[:split]))
+        assert rest == whole
 
     def test_evaluate_full_of_a_missing_head_raises(self):
         spec = NetworkSpec(in_channels=2, trunk=(6, 6), heads={"taskA": 4})
