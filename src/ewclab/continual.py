@@ -12,8 +12,8 @@ unit importances turn it into the plain L2 anchor.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
+from functools import partial
 from itertools import zip_longest
 from typing import Iterator, Mapping, Sequence
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import network
 from .errors import ContractError, DataError, PrerequisiteError
-from .forks import available_processes, fork_child
+from .forks import Helper, available_processes
 from .network import FisherDiagonal, FisherProvenance, NetworkSpec, ParamStore, attach_head, init_network
 from .synthtasks import TASK_A, TASKS
 from .tensor import Graph, Tensor, backward, log_softmax, nll_loss, reshape
@@ -105,13 +105,20 @@ def score_samples(
 FISHER_MIN_CHUNK = 32
 
 
-def _fisher_chunks(samples: int) -> list[range]:
+def _fisher_chunks(samples: int, least: int = 1) -> list[range]:
     """Contiguous sample ranges, one per process: at most one per
     available process (:func:`forks.available_processes`), and
-    ``FISHER_MIN_CHUNK`` samples or more each."""
-    procs = max(1, min(available_processes(), samples // FISHER_MIN_CHUNK))
+    ``FISHER_MIN_CHUNK`` samples or more each; but ``least`` ranges, if
+    the samples allow, whatever their size (a run's helper is forked
+    already)."""
+    procs = min(samples, max(least, min(available_processes(), samples // FISHER_MIN_CHUNK)))
     bounds = [samples * k // procs for k in range(procs + 1)]
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _reached(params: ParamStore, head: str) -> list[str]:
+    """The entries one sample's likelihood reaches: the trunk and ``head``."""
+    return [name for name in params if not name.startswith("head.") or name.startswith(f"head.{head}.")]
 
 
 def _square_rows(params, data, head, mode, rng_seed, samples: range, reached) -> Iterator[Array]:
@@ -122,22 +129,14 @@ def _square_rows(params, data, head, mode, rng_seed, samples: range, reached) ->
         yield np.concatenate([(grads[name] * grads[name]).reshape(-1) for name in reached])
 
 
-def _fork_scorer(params, data, head, mode, rng_seed, samples: range, reached, inherited) -> tuple[int, int]:
-    """Fork a child (:func:`forks.fork_child`) that writes
-    :func:`_square_rows` of ``samples`` to a pipe once it has scored them
-    all, so a full pipe never stalls it while the calling process scores
-    its own chunk; on any error it writes nothing.  Returns (pid, read
-    end)."""
-
-    def run(_, write_end: int) -> None:
-        rows = list(_square_rows(params, data, head, mode, rng_seed, samples, reached))
-        with open(write_end, "wb") as out:
-            for row in rows:
-                out.write(row)
-
-    pid, to_child, read_end = fork_child(run, inherited)
-    os.close(to_child)
-    return pid, read_end
+def fisher_job(params: ParamStore, data: Sequence, head: str, mode: str, rng_seed: int,
+               samples: range) -> list[Array]:
+    """A helper's ``fisher`` job (:class:`forks.Helper`): its one reply,
+    sent once every sample of ``samples`` is scored, so a full pipe never
+    stalls the helper while the calling process scores its own chunk.
+    The reply holds their rows of squares (:func:`_square_rows`) as one
+    array."""
+    return [np.array(list(_square_rows(params, data, head, mode, rng_seed, samples, _reached(params, head))))]
 
 
 def estimate_fisher(
@@ -147,48 +146,48 @@ def estimate_fisher(
     mode: str = "empirical",
     rng_seed: int = 0,
     dataset_id: str = "",
+    helper: Helper | None = None,
 ) -> FisherDiagonal:
     """Average squared per-sample score, accumulated in ascending sample
     order: F_i = (1/M) * sum_m g_{m,i}^2, zero for an entry no score
     reaches.  Deterministic given inputs and seed.
 
     The samples split into contiguous chunks (:func:`_fisher_chunks`).
-    This process scores the first chunk and a forked child each other
-    one.  One loop then adds every sample's row of squares into one flat
-    sum, chunk by chunk in sample order: this process's own rows, each
-    child's whole rows from its pipe, and the rows of the samples a
-    child did not deliver, which this process scores itself.  So the
-    sums have the bits of one process's fold whatever the split, and a
-    child's error is raised here as one process raises it.  Every child
-    is reaped and every pipe closed before this returns or raises.
+    This process scores the first; ``helper``, a run's helper whose
+    ``fisher`` job is :func:`fisher_job` of these inputs, the second,
+    whatever its size; and a helper forked here each other one.  One loop
+    then adds every sample's row of squares into one flat sum, chunk by
+    chunk in sample order: this process's own rows, then each helper's
+    reply, or this process's rows of a chunk whose helper died first.  So
+    the sums have the bits of one process's fold whatever the split, and
+    a helper's error is raised here as one process raises it.  The
+    helpers forked here are reaped before this returns or raises.
     """
     _check_inputs(params, data, mode, head)
-    # the entries one sample's likelihood reaches: the trunk and ``head``
-    reached = [name for name in params if not name.startswith("head.") or name.startswith(f"head.{head}.")]
+    reached = _reached(params, head)
     sizes = [params[name].size for name in reached]
-    total, row = np.zeros(sum(sizes)), np.empty(sum(sizes))
-    chunks = _fisher_chunks(len(data))
-    pids, pipes = [], []
+    total = np.zeros(sum(sizes))
+    chunks = _fisher_chunks(len(data), 1 if helper is None else 2)
+    asked: list[Helper | None] = []  # the helper scoring each chunk after the first
+    forked: list[Helper] = []
     try:
+        if helper is not None and len(chunks) > 1:
+            asked.append(helper if helper.request("fisher", chunks[1]) else None)
         try:
-            for samples in chunks[1:]:
-                pid, read_end = _fork_scorer(params, data, head, mode, rng_seed, samples, reached, pipes)
-                pids.append(pid)
-                pipes.append(open(read_end, "rb"))
+            jobs = {"fisher": partial(fisher_job, params, data, head, mode, rng_seed)}
+            for samples in chunks[1 + len(asked):]:
+                forked.append(Helper(jobs))
+                asked.append(forked[-1] if forked[-1].request("fisher", samples) else None)
+                forked[-1].finish()
         except OSError:
-            pass  # no process to spare: the chunks without a child are scored here
-        for samples, pipe in zip_longest(chunks, [None, *pipes]):
-            done = 0
-            while pipe is not None and done < len(samples) and pipe.readinto(row) == row.nbytes:
-                done += 1
+            pass  # no process to spare: the chunks without a helper are scored here
+        for samples, source in zip_longest(chunks, [None, *asked]):
+            own = _square_rows(params, data, head, mode, rng_seed, samples, reached)
+            for row in own if source is None else source.reply(lambda: own):
                 total += row
-            for scored in _square_rows(params, data, head, mode, rng_seed, samples[done:], reached):
-                total += scored
     finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            os.waitpid(pid, 0)
+        for source in forked:
+            source.close()
     means = dict(zip(reached, np.split(total / len(data), np.cumsum(sizes)[:-1])))
     return FisherDiagonal(
         ParamStore({name: means.get(name, np.zeros(v.size)).reshape(v.shape) for name, v in params.items()}),

@@ -1,14 +1,18 @@
-"""Forked helper processes: how many a job may use, and how one is
-forked.  The Fisher estimate and the training step both split their
-work this way, and both fold the results in the order one process
-would, so the split never moves a bit.
+"""Forked helper processes: how many processes a job may use, and one
+class that forks a helper and sends it jobs.  A run's helper and a
+Fisher estimate's helpers work this way, and every split folds the
+helpers' results in the order one process would, so no split moves a
+bit.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import sys
 from typing import Callable, Iterable
+
+import numpy as np
 
 
 def available_processes() -> int:
@@ -18,43 +22,110 @@ def available_processes() -> int:
     return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
 
 
-def fork_child(run: Callable[[int, int], None], inherited: Iterable = ()) -> tuple[int, int, int]:
-    """Fork a child that runs ``run(read_end, write_end)`` on its ends of
-    two new pipes, one to it and one from it.  Returns (pid, the write
-    end of the pipe to the child, the read end of the pipe from it).
+class Helper:
+    """A forked process that runs the jobs this process sends it, in
+    order.  ``jobs`` maps a job's name to a function of its arguments that
+    yields its replies; their code and data are inherited at fork.  Each
+    request pickles the values of ``store`` (if given: the helper copies
+    them into its own store first), this process's ``np.geterr()``, under
+    which the helper runs the job, and the job's name and arguments.  A
+    helper that fails to reply is dead from then on, and this process
+    does its work itself.
 
-    The child closes this process's pipe ends and the ``inherited`` open
-    files (other children's pipes), so each pipe has one reader and one
-    writer: a closed end fails the other side's write with EPIPE and ends
-    its reads.  The child leaves only by ``os._exit``, 0 once ``run``
-    returns and 1 if it raises: it never flushes this process's buffered
+    The helper closes this process's ends of its own pipes and of every
+    other live helper's, so each pipe has one reader and one writer: a
+    closed end fails the other side's write with EPIPE and ends its
+    reads.  It leaves only by ``os._exit``, 0 once its request pipe ends
+    and 1 if a job raises, so it never flushes this process's buffered
     output or runs exit hooks.  (numpy's OpenBLAS stops its idle thread
-    pool before a fork, so the child starts from the one thread that
+    pool before a fork, so the helper starts from the one thread that
     forked.)"""
-    child_in, parent_out = os.pipe()
-    try:
-        parent_in, child_out = os.pipe()
-    except OSError:
-        os.close(child_in)
-        os.close(parent_out)
-        raise
-    try:
-        pid = os.fork()
-    except OSError:
-        for fd in (child_in, parent_out, parent_in, child_out):
-            os.close(fd)
-        raise
-    if pid:
+
+    live: set[Helper] = set()  # the helpers whose pipe ends this process holds
+
+    def __init__(self, jobs: dict[str, Callable[..., Iterable]], store=None):
+        fds: list[int] = []
+        try:
+            fds += os.pipe()  # to the helper
+            fds += os.pipe()  # from it
+            self.pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        child_in, parent_out, parent_in, child_out = fds
+        if not self.pid:
+            status = 1
+            try:
+                held = [pipe.fileno() for other in Helper.live for pipe in (other.requests, other.replies)
+                        if not pipe.closed]
+                for fd in (parent_out, parent_in, *held):
+                    os.close(fd)
+                _serve(jobs, store, child_in, child_out)
+                status = 0
+            finally:
+                os._exit(status)
         os.close(child_in)
         os.close(child_out)
-        return pid, parent_out, parent_in
-    status = 1
-    try:
-        os.close(parent_out)
-        os.close(parent_in)
-        for pipe in inherited:
-            pipe.close()
-        run(child_in, child_out)
-        status = 0
-    finally:
-        os._exit(status)
+        self.requests = open(parent_out, "wb")
+        self.replies = open(parent_in, "rb")
+        self.store = store
+        self.alive = True
+        Helper.live.add(self)
+
+    def request(self, job: str, *args) -> bool:
+        """Send ``job`` with ``args``; False when the helper is dead."""
+        if self.alive:
+            try:
+                flat = None if self.store is None else self.store.flat()
+                pickle.dump((flat, np.geterr(), job, args), self.requests, pickle.HIGHEST_PROTOCOL)
+                self.requests.flush()
+                return True
+            except OSError:
+                self.alive = False
+        return False
+
+    def reply(self, own: Callable[[], object]):
+        """The pending job's next reply.  Should the helper die before
+        sending it in full, it is dead from then on, and this returns
+        ``own()``: this process does that part itself."""
+        try:
+            return pickle.load(self.replies)
+        except (EOFError, OSError, pickle.UnpicklingError):
+            self.alive = False
+            return own()
+
+    def finish(self) -> None:
+        """Send no more jobs: close the request pipe, so the helper exits
+        once it has sent its replies."""
+        try:
+            self.requests.close()  # flushes a request a dead helper never read
+        except OSError:
+            pass
+
+    def close(self) -> None:
+        """Close both pipes, so the helper reads EOF or fails its write,
+        then reap it."""
+        self.finish()
+        self.replies.close()
+        Helper.live.discard(self)
+        os.waitpid(self.pid, 0)
+
+
+def _serve(jobs: dict[str, Callable[..., Iterable]], store, read_end: int, write_end: int) -> None:
+    """A helper's loop: run each request's job and send its replies, until
+    the request pipe ends."""
+    offsets = None if store is None else np.cumsum([arr.size for arr in store.values()])[:-1]
+    with open(read_end, "rb") as requests, open(write_end, "wb") as replies:
+        while True:
+            try:
+                flat, errors, job, args = pickle.load(requests)
+            except EOFError:
+                return  # the calling process is done
+            if flat is not None:
+                for arr, part in zip(store.values(), np.split(flat, offsets)):
+                    arr[...] = part.reshape(arr.shape)
+            with np.errstate(**errors):
+                for reply in jobs[job](*args):
+                    pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
+                    replies.flush()

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import operator
 import os
-import pickle
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields as dataclass_fields
@@ -32,9 +31,10 @@ from .continual import (
     derive_seed,
     estimate_fisher,
     ewc_penalty,
+    fisher_job,
 )
 from .errors import ConfigError, ContractError, DivergenceError, PrerequisiteError
-from .forks import available_processes, fork_child
+from .forks import Helper, available_processes
 from .network import FisherDiagonal, ParamStore, leaf_tensors, output_margin, sgd_update
 from .synthtasks import (
     TASKS,
@@ -317,24 +317,28 @@ def extract_patch(sample: ScanSample, task: TaskDef, top: int, left: int, size: 
     return patch, labels
 
 
+def _foreground(sample: ScanSample, task: TaskDef) -> Array:
+    """The task's foreground pixels of ``sample``, as ``np.argwhere`` rows."""
+    return np.argwhere(task.labels_of(sample) > 0)
+
+
 def draw_positions(
     sample: ScanSample,
-    task: TaskDef,
+    fg: Array,
     count: int,
     size: int,
     rng: np.random.Generator,
 ) -> list[tuple[int, int]]:
-    """Patch corners, half biased to be centered on a foreground pixel of
-    the task (clamped to the image); sparse classes stay in view."""
-    h = sample.channels.shape[1]
-    max_corner = h - size
-    fg = np.argwhere(task.labels_of(sample) > 0)
+    """Patch corners, half biased to be centered on a foreground pixel
+    (``fg``, the task's :func:`_foreground` of ``sample``), clamped to the
+    image; sparse classes stay in view."""
+    max_corner = sample.channels.shape[1] - size
     out = []
     for _ in range(count):
-        if fg.size and rng.random() < 0.5:
-            cy, cx = fg[int(rng.integers(len(fg)))]
-            top = int(np.clip(cy - size // 2, 0, max_corner))
-            left = int(np.clip(cx - size // 2, 0, max_corner))
+        if len(fg) and rng.random() < 0.5:
+            cy, cx = fg[int(rng.integers(len(fg)))].tolist()
+            top = min(max(cy - size // 2, 0), max_corner)
+            left = min(max(cx - size // 2, 0), max_corner)
         else:
             top = int(rng.integers(0, max_corner + 1))
             left = int(rng.integers(0, max_corner + 1))
@@ -346,10 +350,11 @@ def _patch_set(images: list[ScanSample], task: TaskDef, config: ExperimentConfig
     """``count`` (patch, label window) pairs, one drawn position per
     patch, taking the images in turn."""
     margin = len(config.trunk)
+    fgs = [_foreground(sample, task) for sample in images[:count]]
     items = []
     for i in range(count):
         sample = images[i % len(images)]
-        top, left = draw_positions(sample, task, 1, config.patch_size, rng)[0]
+        top, left = draw_positions(sample, fgs[i % len(images)], 1, config.patch_size, rng)[0]
         items.append(extract_patch(sample, task, top, left, config.patch_size, margin))
     return items
 
@@ -371,7 +376,8 @@ def _epoch_batches(
 ) -> list[list[tuple[int, int, int]]]:
     draws = []
     for idx, sample in enumerate(images):
-        for top, left in draw_positions(sample, task, config.patches_per_image, config.patch_size, rng):
+        fg = _foreground(sample, task)
+        for top, left in draw_positions(sample, fg, config.patches_per_image, config.patch_size, rng):
             draws.append((idx, top, left))
     order = rng.permutation(len(draws))
     shuffled = [draws[i] for i in order]
@@ -389,16 +395,6 @@ def _patch_loss(leaves, spec, sample: ScanSample, task: TaskDef, top: int, left:
     logits = network.forward_logits(leaves, spec, patch, task.head)
     k = logits.values.shape[0]
     return nll_loss(log_softmax(reshape(logits, (k, logits.values.size // k))), labels.reshape(-1))
-
-
-# Fewest steps in a run worth a helper process.  On a 2-vCPU host,
-# forking and reaping it took ~3 ms, its first step ~4 ms more than a
-# steady one, and the calling process ~2,200 more copy-on-write faults
-# per run, against ~1.9 ms saved per steady step (6.55 → 4.62 ms wall,
-# the default network on 8-patch batches with the EWC penalty; the
-# calling process's CPU time per step 5.22 → 3.29 ms).  The grid's
-# 6-step runs fork nothing.
-STEP_SPLIT_MIN_STEPS = 32
 
 
 def _helper_share(n: int) -> int:
@@ -444,7 +440,7 @@ def _scored(store: ParamStore, plan: RegimePlan, work, config, units, epoch: int
 
 
 def _train_step(store: ParamStore, plan: RegimePlan, work, config, epoch: int, step: int,
-                helper: _StepHelper | None = None):
+                helper: Helper | None = None):
     """One SGD step's task loss, total loss and gradient map at ``store``.
 
     ``work`` lists (task, training images, batch) per trained task, in
@@ -470,7 +466,7 @@ def _train_step(store: ParamStore, plan: RegimePlan, work, config, epoch: int, s
     """
     units = _step_units(plan, work)
     split = _helper_share(len(units)) if helper else 0
-    if split and not helper.request(store, "step", [batch for _, _, batch in work], epoch, step, split):
+    if split and not helper.request("step", [batch for _, _, batch in work], epoch, step, split):
         split = 0
     grads: GradientMap = {}
     values: list[float] = []
@@ -523,92 +519,16 @@ def _step_job(store: ParamStore, plan: RegimePlan, config, trained: list[tuple[T
     return job
 
 
-class _StepHelper:
-    """A forked process that does the first part of each job a run sends
-    it, at the store the request carries.  ``jobs`` maps a job's name to
-    a function of the job's arguments that yields its replies.  ``train``
-    gives it three, and does the rest of each job itself:
-
-    - ``step``: the first half of a training step's terms
-      (:func:`_step_job`);
-    - ``patch``: the first half of each eval task's patches, one reply
-      of confusion counts per task;
-    - ``full``: the first half of the validation images, one reply of
-      each eval task's confusion counts.
-
-    The jobs' code and data are inherited at fork.  Each request pickles
-    the store's values, this process's numpy error state (``np.geterr``)
-    and the job's name and arguments; the helper runs the job under that
-    error state, so it warns as little as this process does.  A helper
-    that fails to reply is dead for the rest of the run: this process
-    then does all the work itself.
-    """
-
-    def __init__(self, store: ParamStore, jobs: dict[str, Callable[..., Iterable]]):
-        def run(read_end: int, write_end: int) -> None:
-            offsets = np.cumsum([arr.size for arr in store.values()])[:-1]
-            with open(read_end, "rb") as requests, open(write_end, "wb") as replies:
-                while True:
-                    try:
-                        flat, errors, job, args = pickle.load(requests)
-                    except EOFError:
-                        return  # the calling process is done
-                    for arr, part in zip(store.values(), np.split(flat, offsets)):
-                        arr[...] = part.reshape(arr.shape)
-                    with np.errstate(**errors):
-                        for reply in jobs[job](*args):
-                            pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
-                            replies.flush()
-
-        self.pid, write_end, read_end = fork_child(run)
-        self.requests = open(write_end, "wb")
-        self.replies = open(read_end, "rb")
-        self.alive = True
-
-    def request(self, store: ParamStore, job: str, *args) -> bool:
-        """Send ``job`` with ``args`` at ``store``; False when the helper
-        is dead."""
-        if self.alive:
-            try:
-                pickle.dump((store.flat(), np.geterr(), job, args), self.requests, pickle.HIGHEST_PROTOCOL)
-                self.requests.flush()
-                return True
-            except OSError:
-                self.alive = False
-        return False
-
-    def reply(self, own: Callable[[], object]):
-        """The pending job's next reply.  Should the helper die before
-        sending it in full, it is dead for the rest of the run, and this
-        returns ``own()``: this process does that part itself."""
-        try:
-            return pickle.load(self.replies)
-        except (EOFError, OSError, pickle.UnpicklingError):
-            self.alive = False
-            return own()
-
-    def close(self) -> None:
-        """End the helper: close both pipes, so it reads EOF or fails its
-        write, then reap it."""
-        try:
-            self.requests.close()  # flushes a request a dead helper never read
-        except OSError:
-            pass
-        self.replies.close()
-        os.waitpid(self.pid, 0)
-
-
 @contextmanager
-def _step_helper(store: ParamStore, jobs: dict[str, Callable[..., Iterable]], steps: int
-                 ) -> Iterator[_StepHelper | None]:
-    """A :class:`_StepHelper` running ``jobs`` for a run of ``steps``
-    steps when it has ``STEP_SPLIT_MIN_STEPS`` or more and two processes
-    are available (:func:`forks.available_processes`); else, or when no
-    process can be forked, None.  The helper is reaped on every exit."""
+def _step_helper(store: ParamStore, jobs: dict[str, Callable[..., Iterable]]) -> Iterator[Helper | None]:
+    """A :class:`forks.Helper` running ``jobs`` at ``store`` when two
+    processes are available (:func:`forks.available_processes`); else,
+    or when no process can be forked, None.  The helper is reaped on
+    every exit."""
     helper = None
-    if steps >= STEP_SPLIT_MIN_STEPS and available_processes() >= 2:
+    if available_processes() >= 2:
         try:
-            helper = _StepHelper(store, jobs)
+            helper = Helper(jobs, store)
         except OSError:
             pass  # no process to spare: this process does all the work
     try:
@@ -631,18 +551,19 @@ def train(
     run that diverges leaves none; ``record.txt``, written last, marks
     it complete.
 
-    A run of ``STEP_SPLIT_MIN_STEPS`` steps or more in all forks one
-    helper process (:func:`_step_helper`) before its first scoring and
-    reaps it after the final full scoring, before dm-a's Fisher estimate
-    forks its own children and before the run directory is made.  The
-    helper scores half of each step's terms, bit for bit (see
+    On Linux with two available processes or more, every run forks one
+    helper process (:func:`_step_helper`) before its first scoring.  It
+    scores half of each step's terms, bit for bit (see
     :func:`_train_step`), and half of each scoring: the first half of
-    each eval task's patches at every epoch's patch scoring, and the
-    first half of the validation images at the full scoring.  Dice comes
-    from int64 confusion counts, and integer sums do not depend on their
-    order, so the helper's counts added to this process's give the one
-    process's scores; should the helper fail, this process counts its
-    half too."""
+    each eval task's patches at every patch scoring, and of the
+    validation images at the full scoring.  Dice comes from int64
+    confusion counts, whose sums do not depend on their order, so the
+    helper's counts added to this process's give the one process's
+    scores.  A dm-a run's helper then scores the second chunk of the
+    Fisher estimate (:func:`task_a_fisher`).  Should the helper fail,
+    this process does its part too.  After the last job the helper's
+    request pipe is closed, so it exits while the run's files are
+    written; it is reaped before ``train`` returns or raises."""
     t0 = time.monotonic()
     config.validate()
     rid = run_id(plan.kind, plan.lam, plan.seed, config_digest(config, manifest_text(bank.manifest, bank.config)))
@@ -668,21 +589,21 @@ def train(
 
     rows: list[MetricRow] = []
 
-    def score(epoch: int, scope: str, helper: _StepHelper | None) -> None:
+    def score(epoch: int, scope: str, helper: Helper | None) -> None:
         """Append one evaluation's Dice rows, tasks then classes in order;
         full scope scores every task in one pass over the images.  This
         process enters ``metrics.evaluate_model`` once per task at every
         patch scoring, helper or not."""
         if scope == "full":
             split = _helper_share(len(validation))
-            if helper is not None and helper.request(store, "full", split):
+            if helper is not None and helper.request("full", split):
                 more = partial(helper.reply, partial(full_counts, split))
             else:
                 split, more = 0, None
             scores = metrics.evaluate_full(store, eval_tasks, validation[split:], config.tile, more)
         else:
             splits = [_helper_share(len(eval_sets[task.task_id])) for task in eval_tasks]
-            asked = helper is not None and helper.request(store, "patch", splits)
+            asked = helper is not None and helper.request("patch", splits)
             scores = {}
             for task, split in zip(eval_tasks, splits):
                 if asked:
@@ -705,9 +626,11 @@ def train(
         "step": _step_job(store, plan, config, trained),
         "patch": lambda splits: map(patch_counts, eval_tasks, splits),
         "full": lambda split: [full_counts(split)],
+        # a dm-a run's Fisher estimate: its second chunk
+        "fisher": lambda samples: fisher_job(store, *_task_a_inputs(data.split("train_a"), config), samples),
     }
 
-    with _step_helper(store, jobs, config.epochs * steps) as helper:
+    with _step_helper(store, jobs) as helper:
         score(0, "patch", helper)
         # a diverging step overflows before DivergenceError names its
         # epoch and step; the helper's jobs take the same setting
@@ -729,26 +652,28 @@ def train(
                 losses.append((epoch, loss_sum / steps, penalty_sum / steps))
                 score(epoch, "patch", helper)
         score(config.epochs, "full", helper)
+        fisher = task_a_fisher(store, data.split("train_a"), config, helper) if plan.kind == "dm-a" else None
+        if helper is not None:
+            helper.finish()  # no job is left: it exits while the files are written
 
-    fisher = task_a_fisher(store, data.split("train_a"), config) if plan.kind == "dm-a" else None
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    ckpt_final = run_dir / "final.ckpt"
-    meta = {"regime": plan.kind, "seed": str(plan.seed), "lambda": f"{plan.lam:g}", "epoch": str(config.epochs)}
-    network.save_checkpoint(store, ckpt_final, metadata=meta, fisher=fisher)
+        run_dir = Path(run_dir)
+        run_dir.mkdir(parents=True, exist_ok=True)
+        ckpt_final = run_dir / "final.ckpt"
+        meta = {"regime": plan.kind, "seed": str(plan.seed), "lambda": f"{plan.lam:g}", "epoch": str(config.epochs)}
+        network.save_checkpoint(store, ckpt_final, metadata=meta, fisher=fisher)
 
-    record = RunRecord(
-        run_id=rid,
-        regime=plan.kind,
-        lam=plan.lam,
-        seed=plan.seed,
-        rows=rows,
-        lines=[row.csv_line() for row in rows],
-        checkpoint_final=str(ckpt_final),
-        splits_used=tuple(sorted(data.accessed)),
-        duration_s=time.monotonic() - t0,
-    )
-    _write_run_dir(record, losses, config, run_dir)
+        record = RunRecord(
+            run_id=rid,
+            regime=plan.kind,
+            lam=plan.lam,
+            seed=plan.seed,
+            rows=rows,
+            lines=[row.csv_line() for row in rows],
+            checkpoint_final=str(ckpt_final),
+            splits_used=tuple(sorted(data.accessed)),
+            duration_s=time.monotonic() - t0,
+        )
+        _write_run_dir(record, losses, config, run_dir)
     return record
 
 
@@ -758,19 +683,23 @@ def fisher_patches(images: list[ScanSample], task: TaskDef, config: ExperimentCo
     return _patch_set(images, task, config, config.fisher_samples, rng)
 
 
-def task_a_fisher(store: ParamStore, images: list[ScanSample], config: ExperimentConfig) -> FisherDiagonal:
+def _task_a_inputs(images: list[ScanSample], config: ExperimentConfig) -> tuple:
+    """The task-A Fisher estimate's data, head, mode and label seed."""
+    task = TASKS["a"]
+    return (fisher_patches(images, task, config), task.head, config.fisher_mode,
+            derive_seed(config.data_seed, "fisher", "labels"))
+
+
+def task_a_fisher(store: ParamStore, images: list[ScanSample], config: ExperimentConfig,
+                  helper: Helper | None = None) -> FisherDiagonal:
     """The task-A importance estimate that dm-a runs embed in their final
     checkpoint and ``ewclab fisher`` recomputes: seed-determined patches
-    and, in sampled mode, seed-determined labels."""
-    task = TASKS["a"]
-    return estimate_fisher(
-        store,
-        fisher_patches(images, task, config),
-        task.head,
-        mode=config.fisher_mode,
-        rng_seed=derive_seed(config.data_seed, "fisher", "labels"),
-        dataset_id="train_a",
-    )
+    and, in sampled mode, seed-determined labels.  A dm-a run's
+    ``helper``, whose ``fisher`` job scores these same inputs at
+    ``store``, scores the second chunk (see :func:`estimate_fisher`)."""
+    data, head, mode, rng_seed = _task_a_inputs(images, config)
+    return estimate_fisher(store, data, head, mode=mode, rng_seed=rng_seed, dataset_id="train_a",
+                           helper=helper)
 
 
 # ---------------------------------------------------------------------------

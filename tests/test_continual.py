@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
 import textwrap
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,7 @@ from ewclab.errors import (
     LabelError,
     PrerequisiteError,
 )
+from ewclab.forks import Helper
 from ewclab.network import (
     FisherDiagonal,
     FisherProvenance,
@@ -269,30 +272,64 @@ class TestSplitFisher:
         assert len(forks) == 2
         assert open_fds() == fds
 
-    def test_pipe_that_ends_mid_row_leaves_the_rest_here(self, split, monkeypatch):
-        # each child's pipe ends half-way through its second row: its first
-        # row is added, and this process scores the rest of its chunk
+    def test_reply_that_ends_midway_leaves_the_chunk_here(self, split, monkeypatch):
+        # each forked helper's one reply ends half-way: its rows are
+        # dropped, and this process scores that helper's whole chunk
         store = tiny_net(seed=3)
         data = two_size_data(7)
         expected = serial_fold(store, data, "sampled", 41)
         forks = split(3)
-        real_fork_scorer = continual._fork_scorer
+        real_reply = Helper.reply
         row_bytes = store.flat().nbytes
+        delivered_rows = []
 
-        def cut_fork_scorer(*args):
-            pid, read_end = real_fork_scorer(*args)
-            with open(read_end, "rb") as pipe:
-                delivered = pipe.read()
-            assert len(delivered) == len(args[5]) * row_bytes
+        def cut_reply(helper, own):
+            delivered = helper.replies.read()  # the helper exits once it has replied
+            rows = pickle.loads(delivered)
+            assert rows.nbytes == len(rows) * row_bytes
+            delivered_rows.append(len(rows))
             read_cut, write_cut = os.pipe()
             with open(write_cut, "wb") as out:
-                out.write(delivered[:row_bytes * 3 // 2])
-            return pid, read_cut
+                out.write(delivered[:len(delivered) // 2])
+            helper.replies.close()
+            helper.replies = open(read_cut, "rb")
+            return real_reply(helper, own)
 
-        monkeypatch.setattr(continual, "_fork_scorer", cut_fork_scorer)
+        monkeypatch.setattr(Helper, "reply", cut_reply)
         fds = open_fds()
         fisher = estimate_fisher(store, data, "taskA", mode="sampled", rng_seed=41)
         assert len(forks) == 2
+        assert delivered_rows == [2, 3]  # the chunks are samples 0-1, 2-3 and 4-6
+        assert fisher.values.tobytes() == expected
+        assert open_fds() == fds
+
+    @pytest.mark.parametrize("alive", [True, False])
+    @pytest.mark.parametrize("mode", ["empirical", "sampled"])
+    def test_a_given_helper_scores_the_second_chunk_whatever_its_size(self, monkeypatch, mode, alive):
+        # a run's helper is forked already, so 7 samples split in two on
+        # two cores, although FISHER_MIN_CHUNK asks for 64; a dead helper
+        # leaves its chunk here
+        store = tiny_net(seed=3)
+        data = two_size_data(7)
+        expected = serial_fold(store, data, mode, 41)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        fds = open_fds()
+        helper = Helper({"fisher": partial(continual.fisher_job, store, data, "taskA", mode, 41)})
+        asked, request = [], Helper.request
+
+        def logged_request(helper, job, *args):
+            asked.append((job, *args))
+            return request(helper, job, *args)
+
+        monkeypatch.setattr(Helper, "request", logged_request)
+        try:
+            if not alive:
+                helper.alive = False
+            fisher = estimate_fisher(store, data, "taskA", mode=mode, rng_seed=41, helper=helper)
+            assert helper.alive == alive
+        finally:
+            helper.close()
+        assert asked == [("fisher", range(3, 7))]
         assert fisher.values.tobytes() == expected
         assert open_fds() == fds
 

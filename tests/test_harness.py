@@ -21,6 +21,7 @@ import pytest
 from ewclab import continual, harness, metrics, network, svgplot, synthtasks, tensor
 from ewclab.continual import REGIMES, build_regime, ewc_penalty
 from ewclab.errors import ConfigError, ContractError, DivergenceError
+from ewclab.forks import Helper
 from ewclab.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -350,20 +351,22 @@ class ForkLog(list):
 
 @pytest.fixture
 def split_steps(monkeypatch):
-    """``split_steps()`` makes every ``train`` run fork a step helper
-    (two available cores, no step threshold); returns a :class:`ForkLog`
-    of the forks from then on.  A Fisher estimate that ``train`` begins
-    (``continual.estimate_fisher``, through harness's binding) while a
-    logged fork is unreaped fails the test."""
+    """Every ``train`` run is in one process (one available core) until
+    ``split_steps()`` makes each fork its helper (two available cores);
+    that returns a :class:`ForkLog` of the forks from then on.  A Fisher
+    estimate that ``train`` begins (``continual.estimate_fisher``,
+    through harness's binding) while a logged fork other than the run's
+    helper is unreaped fails the test."""
     forks = ForkLog()
     real_fork, real_waitpid = os.fork, os.waitpid
     estimate_fisher = harness.estimate_fisher
 
-    def checked_estimate_fisher(*args, **kwargs):
+    def checked_estimate_fisher(*args, helper=None, **kwargs):
         alive = [pid for pid in forks if pid not in forks.exit_codes]
-        assert not alive, f"children {alive} alive as the Fisher estimate begins"
+        assert alive == ([] if helper is None else [helper.pid]), \
+            f"children {alive} alive as the Fisher estimate begins"
         forks.fishers += 1
-        return estimate_fisher(*args, **kwargs)
+        return estimate_fisher(*args, helper=helper, **kwargs)
 
     def logged_fork():
         pid = real_fork()
@@ -378,13 +381,13 @@ def split_steps(monkeypatch):
         return reaped, status
 
     def force():
-        monkeypatch.setattr(harness, "STEP_SPLIT_MIN_STEPS", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(os, "fork", logged_fork)
         monkeypatch.setattr(os, "waitpid", logged_waitpid)
         monkeypatch.setattr(harness, "estimate_fisher", checked_estimate_fisher)
         return forks
 
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     return force
 
 
@@ -413,7 +416,7 @@ class TestStreamedStep:
         forks = split_steps()
         sizes = set()
         jobs = {"step": harness._step_job(stores[1], plan, config, trained)}
-        with harness._step_helper(stores[1], jobs, 1) as helper:
+        with harness._step_helper(stores[1], jobs) as helper:
             assert len(forks) == 1
             for epoch in (1, 2):
                 for step, work in enumerate(epoch_work(plan, config, bank, epoch)):
@@ -534,39 +537,96 @@ class TestStreamedStep:
         assert open_fds() == fds
         assert run_files(tmp_path / "unforked") == run_files(tmp_path / "serial")
 
-    @pytest.mark.parametrize("cores,threshold", [(1, 1), (2, 7), (3, 7)])
-    def test_short_runs_and_one_core_fork_nothing(self, tmp_path, monkeypatch, split_steps, cores, threshold):
-        config = tiny_config(tmp_path, epochs=3)  # 2 steps per epoch: 6 steps
-        plan = build_regime("dm-a", 0.0, 1, trunk=config.trunk)
-        forks = split_steps()
-        monkeypatch.setattr(harness, "STEP_SPLIT_MIN_STEPS", threshold)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-        train(plan, config, SampleBank(*load_data(config)), tmp_path / "run")
-        assert forks == []
-        monkeypatch.setattr(harness, "STEP_SPLIT_MIN_STEPS", 6)
-        train(plan, config, SampleBank(*load_data(config)), tmp_path / "at")
-        assert len(forks) == (cores > 1)
-
-    def test_no_helper_is_alive_while_the_fisher_estimate_forks(self, tmp_path, monkeypatch, split_steps):
+    def test_one_core_forks_nothing(self, tmp_path, monkeypatch, split_steps):
         config = tiny_config(tmp_path)
         plan = build_regime("dm-a", 0.0, 1, trunk=config.trunk)
         forks = split_steps()
-        monkeypatch.setattr(continual, "FISHER_MIN_CHUNK", 1)
-        children_alive = []
-        fork_scorer = continual._fork_scorer
-
-        def checked_fork_scorer(*args):
-            try:
-                children_alive.append(os.waitpid(-1, os.WNOHANG))
-            except ChildProcessError:
-                children_alive.append(None)
-            return fork_scorer(*args)
-
-        monkeypatch.setattr(continual, "_fork_scorer", checked_fork_scorer)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         train(plan, config, SampleBank(*load_data(config)), tmp_path / "run")
-        assert children_alive == [None]  # one Fisher child, forked once the helper is reaped
-        assert len(forks) == 2
+        assert forks == []
+
+    def test_a_one_step_run_forks_one_helper(self, tmp_path, monkeypatch, split_steps):
+        config = tiny_config(tmp_path, epochs=1, batch_size=8)  # 3 images x 2 patches: one batch
+        plan = build_regime("dm-a", 0.0, 1, trunk=config.trunk)
+        bank = SampleBank(*load_data(config))
+        updates, update = [], harness.sgd_update
+
+        def counted_update(*args):
+            updates.append(os.getpid())
+            return update(*args)
+
+        monkeypatch.setattr(harness, "sgd_update", counted_update)
+        train(plan, config, bank, tmp_path / "serial")
+        forks = split_steps()
+        train(plan, config, bank, tmp_path / "split")
+        assert updates == [os.getpid()] * 2
+        assert len(forks) == 1
+        assert list(forks.exit_codes.values()) == [0]
+        assert run_files(tmp_path / "split") == run_files(tmp_path / "serial")
+
+    def test_a_dm_a_run_forks_once_and_its_helper_scores_the_second_chunk(self, tmp_path, monkeypatch,
+                                                                         split_steps):
+        # 8 Fisher samples, a quarter of FISHER_MIN_CHUNK: the run's
+        # helper is forked already, so it scores samples 4-7
+        config = tiny_config(tmp_path)
+        plan = build_regime("dm-a", 0.0, 1, trunk=config.trunk)
+        bank = SampleBank(*load_data(config))
+        train(plan, config, bank, tmp_path / "serial")
+        parent, asked, scored = os.getpid(), [], []
+        request, sample_loss = Helper.request, continual._sample_loss
+
+        def logged_request(helper, job, *args):
+            asked.append(job)
+            if job == "fisher":
+                assert args == (range(4, 8),)
+            return request(helper, job, *args)
+
+        def logged_sample_loss(*args):
+            scored.append(os.getpid())
+            return sample_loss(*args)
+
+        monkeypatch.setattr(Helper, "request", logged_request)
+        monkeypatch.setattr(continual, "_sample_loss", logged_sample_loss)
+        forks = split_steps()
+        train(plan, config, bank, tmp_path / "split")
+        assert len(forks) == 1
+        assert list(forks.exit_codes.values()) == [0]
         assert forks.fishers == 1
+        assert asked[-1] == "fisher" and asked.count("fisher") == 1
+        assert scored == [parent] * 4  # the first chunk, here
+        assert run_files(tmp_path / "split") == run_files(tmp_path / "serial")
+
+    def test_three_cores_fork_the_helper_and_one_fisher_helper_and_reap_both(self, tmp_path, monkeypatch,
+                                                                              split_steps):
+        # the Fisher's 8 samples split in three: here, the run's helper and
+        # a helper forked for the third chunk, which closes its copies of
+        # the run helper's pipe ends (or that helper would miss its EOF)
+        config = tiny_config(tmp_path)
+        plan = build_regime("dm-a", 0.0, 1, trunk=config.trunk)
+        bank = SampleBank(*load_data(config))
+        train(plan, config, bank, tmp_path / "serial")
+        fisher_job = continual.fisher_job
+
+        def checked_fisher_job(*args):
+            for other in Helper.live:  # this process's copy: the run's helper
+                for pipe in (other.requests, other.replies):
+                    try:
+                        os.fstat(pipe.fileno())
+                    except OSError:
+                        continue
+                    os._exit(7)  # a pipe end of the run's helper is open here
+            return fisher_job(*args)
+
+        monkeypatch.setattr(continual, "fisher_job", checked_fisher_job)
+        monkeypatch.setattr(continual, "FISHER_MIN_CHUNK", 1)
+        forks = split_steps()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        fds = open_fds()
+        train(plan, config, bank, tmp_path / "split")
+        assert len(forks) == 2
+        assert list(forks.exit_codes.values()) == [0, 0]
+        assert open_fds() == fds
+        assert run_files(tmp_path / "split") == run_files(tmp_path / "serial")
 
     def test_run_files_are_pinned(self, tmp_path):
         # digests computed with the one-graph step of the same numeric
