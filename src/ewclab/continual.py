@@ -12,16 +12,16 @@ unit importances turn it into the plain L2 anchor.
 from __future__ import annotations
 
 import hashlib
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from itertools import zip_longest
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import network
 from .errors import ContractError, DataError, PrerequisiteError
-from .forks import Helper, available_processes
+from .forks import Helper
 from .network import FisherDiagonal, FisherProvenance, NetworkSpec, ParamStore, attach_head, init_network
 from .synthtasks import TASK_A, TASKS
 from .tensor import Graph, Tensor, backward, log_softmax, nll_loss, reshape
@@ -99,23 +99,6 @@ def score_samples(
         yield {name: -g for name, g in grads.items()}
 
 
-# Fewest samples worth a process of their own: forking a ~50 MB process,
-# moving its chunk's squares back and joining it took 7-8 ms on a 2-vCPU
-# host, about ten samples' scoring with the default network.
-FISHER_MIN_CHUNK = 32
-
-
-def _fisher_chunks(samples: int, least: int = 1) -> list[range]:
-    """Contiguous sample ranges, one per process: at most one per
-    available process (:func:`forks.available_processes`), and
-    ``FISHER_MIN_CHUNK`` samples or more each; but ``least`` ranges, if
-    the samples allow, whatever their size (a run's helper is forked
-    already)."""
-    procs = min(samples, max(least, min(available_processes(), samples // FISHER_MIN_CHUNK)))
-    bounds = [samples * k // procs for k in range(procs + 1)]
-    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
-
-
 def _reached(params: ParamStore, head: str) -> list[str]:
     """The entries one sample's likelihood reaches: the trunk and ``head``."""
     return [name for name in params if not name.startswith("head.") or name.startswith(f"head.{head}.")]
@@ -130,13 +113,12 @@ def _square_rows(params, data, head, mode, rng_seed, samples: range, reached) ->
 
 
 def fisher_job(params: ParamStore, data: Sequence, head: str, mode: str, rng_seed: int,
-               samples: range) -> list[Array]:
-    """A helper's ``fisher`` job (:class:`forks.Helper`): its one reply,
-    sent once every sample of ``samples`` is scored, so a full pipe never
-    stalls the helper while the calling process scores its own chunk.
-    The reply holds their rows of squares (:func:`_square_rows`) as one
-    array."""
-    return [np.array(list(_square_rows(params, data, head, mode, rng_seed, samples, _reached(params, head))))]
+               samples: range) -> Array:
+    """A helper's ``fisher`` job (:class:`forks.Helper`): the rows of
+    squares (:func:`_square_rows`) of every sample of ``samples``, as one
+    array, so a full pipe never stalls the helper while the calling
+    process scores its own half."""
+    return np.array(list(_square_rows(params, data, head, mode, rng_seed, samples, _reached(params, head))))
 
 
 def estimate_fisher(
@@ -152,42 +134,26 @@ def estimate_fisher(
     order: F_i = (1/M) * sum_m g_{m,i}^2, zero for an entry no score
     reaches.  Deterministic given inputs and seed.
 
-    The samples split into contiguous chunks (:func:`_fisher_chunks`).
-    This process scores the first; ``helper``, a run's helper whose
-    ``fisher`` job is :func:`fisher_job` of these inputs, the second,
-    whatever its size; and a helper forked here each other one.  One loop
-    then adds every sample's row of squares into one flat sum, chunk by
-    chunk in sample order: this process's own rows, then each helper's
-    reply, or this process's rows of a chunk whose helper died first.  So
-    the sums have the bits of one process's fold whatever the split, and
-    a helper's error is raised here as one process raises it.  The
-    helpers forked here are reaped before this returns or raises.
+    This process scores samples ``[0, n//2)`` and a helper's ``fisher``
+    job (:func:`fisher_job` of these inputs) ``[n//2, n)``: ``helper``,
+    a run's helper, when given, else a :class:`forks.Helper` forked here
+    and reaped before this returns or raises.  One flat sum takes this
+    process's rows, then the helper's result, so the sums have the bits
+    of one process's fold, and an error is raised as one process raises
+    it.
     """
     _check_inputs(params, data, mode, head)
     reached = _reached(params, head)
     sizes = [params[name].size for name in reached]
     total = np.zeros(sum(sizes))
-    chunks = _fisher_chunks(len(data), 1 if helper is None else 2)
-    asked: list[Helper | None] = []  # the helper scoring each chunk after the first
-    forked: list[Helper] = []
-    try:
-        if helper is not None and len(chunks) > 1:
-            asked.append(helper if helper.request("fisher", chunks[1]) else None)
-        try:
-            jobs = {"fisher": partial(fisher_job, params, data, head, mode, rng_seed)}
-            for samples in chunks[1 + len(asked):]:
-                forked.append(Helper(jobs))
-                asked.append(forked[-1] if forked[-1].request("fisher", samples) else None)
-                forked[-1].finish()
-        except OSError:
-            pass  # no process to spare: the chunks without a helper are scored here
-        for samples, source in zip_longest(chunks, [None, *asked]):
-            own = _square_rows(params, data, head, mode, rng_seed, samples, reached)
-            for row in own if source is None else source.reply(lambda: own):
-                total += row
-    finally:
-        for source in forked:
-            source.close()
+    half = len(data) // 2
+    jobs = {"fisher": partial(fisher_job, params, data, head, mode, rng_seed)}
+    with nullcontext(helper) if helper is not None else Helper(jobs) as scorer:
+        scorer.submit("fisher", range(half, len(data)))
+        for row in _square_rows(params, data, head, mode, rng_seed, range(half), reached):
+            total += row
+        for row in scorer.result():
+            total += row
     means = dict(zip(reached, np.split(total / len(data), np.cumsum(sizes)[:-1])))
     return FisherDiagonal(
         ParamStore({name: means.get(name, np.zeros(v.size)).reshape(v.shape) for name, v in params.items()}),

@@ -13,11 +13,10 @@ import hashlib
 import operator
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, fields as dataclass_fields
-from functools import partial, reduce
+from functools import reduce
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .continual import (
     fisher_job,
 )
 from .errors import ConfigError, ContractError, DivergenceError, PrerequisiteError
-from .forks import Helper, available_processes
+from .forks import Helper
 from .network import FisherDiagonal, ParamStore, leaf_tensors, output_margin, sgd_update
 from .synthtasks import (
     TASKS,
@@ -440,7 +439,7 @@ def _scored(store: ParamStore, plan: RegimePlan, work, config, units, epoch: int
 
 
 def _train_step(store: ParamStore, plan: RegimePlan, work, config, epoch: int, step: int,
-                helper: Helper | None = None):
+                helper: Helper):
     """One SGD step's task loss, total loss and gradient map at ``store``.
 
     ``work`` lists (task, training images, batch) per trained task, in
@@ -451,13 +450,13 @@ def _train_step(store: ParamStore, plan: RegimePlan, work, config, epoch: int, s
     order, times 1/len(batch), task by task, then the penalty).
     Entries no term reaches are absent from the map.
 
-    With a ``helper`` the helper process scores the first half of the
-    terms and folds them into one map, as this function does alone
+    The ``helper`` (:class:`forks.Helper`) scores the first half of the
+    terms and folds them into one map, as one process folds them
     (:func:`_step_job`), while this process scores the second half, one
     map per term, and then adds each into the helper's map in order.
     Each entry takes one contribution per term, so those are the same
-    adds in the same order, and no bit moves.  Should the helper fail,
-    this process scores its terms too.
+    adds in the same order, and no bit moves, wherever the helper's job
+    runs.
 
     A non-finite term or total raises :class:`DivergenceError` before
     any update.  Errors are those of one process: the helper's terms
@@ -465,28 +464,22 @@ def _train_step(store: ParamStore, plan: RegimePlan, work, config, epoch: int, s
     process's terms.
     """
     units = _step_units(plan, work)
-    split = _helper_share(len(units)) if helper else 0
-    if split and not helper.request("step", [batch for _, _, batch in work], epoch, step, split):
-        split = 0
-    grads: GradientMap = {}
-    values: list[float] = []
+    split = _helper_share(len(units))
+    helper.submit("step", [batch for _, _, batch in work], epoch, step, split)
     try:
-        own = list(_scored(store, plan, work, config, units[split:], epoch, step, None if split else grads))
-    finally:
-        if split:  # the helper's terms come first: their error is raised first
-            values, grads = helper.reply(lambda: (
-                [value for value, _ in _scored(store, plan, work, config, units[:split], epoch, step, grads)], grads))
-            if values is None:  # one of the helper's terms is not finite
-                raise DivergenceError(epoch, step)
+        own = list(_scored(store, plan, work, config, units[split:], epoch, step, None))
+    finally:  # the helper's terms come first: their error is raised first
+        values, grads = helper.result()
+        if values is None:  # one of the helper's terms is not finite
+            raise DivergenceError(epoch, step)
     for value, term_grads in own:
         values.append(value)
-        if split:
-            for name, grad in term_grads.items():
-                prev = grads.get(name)
-                if prev is None:
-                    grads[name] = grad
-                else:
-                    prev += grad
+        for name, grad in term_grads.items():
+            prev = grads.get(name)
+            if prev is None:
+                grads[name] = grad
+            else:
+                prev += grad
     value_of = dict(zip(units, values))
     means = []
     for t, (_, _, batch) in enumerate(work):
@@ -503,8 +496,8 @@ def _step_job(store: ParamStore, plan: RegimePlan, config, trained: list[tuple[T
     """The helper's ``step`` job: ``job(batches, epoch, step, split)``
     scores the first ``split`` terms of the step whose batch positions
     are ``batches``, one per task of ``trained``, at ``store``, folded
-    into one map as :func:`_train_step` folds them alone.  Its one reply
-    is the terms' values and map, or no values for a non-finite term."""
+    into one map as one process folds them.  It returns the terms'
+    values and map, or no values for a non-finite term."""
 
     def job(batches, epoch: int, step: int, split: int):
         work = [(task, images, batch) for (task, images), batch in zip(trained, batches)]
@@ -513,29 +506,10 @@ def _step_job(store: ParamStore, plan: RegimePlan, config, trained: list[tuple[T
             values = [value for value, _ in _scored(
                 store, plan, work, config, _step_units(plan, work)[:split], epoch, step, grads)]
         except DivergenceError:
-            values, grads = None, {}
-        yield values, grads
+            return None, {}
+        return values, grads
 
     return job
-
-
-@contextmanager
-def _step_helper(store: ParamStore, jobs: dict[str, Callable[..., Iterable]]) -> Iterator[Helper | None]:
-    """A :class:`forks.Helper` running ``jobs`` at ``store`` when two
-    processes are available (:func:`forks.available_processes`); else,
-    or when no process can be forked, None.  The helper is reaped on
-    every exit."""
-    helper = None
-    if available_processes() >= 2:
-        try:
-            helper = Helper(jobs, store)
-        except OSError:
-            pass  # no process to spare: this process does all the work
-    try:
-        yield helper
-    finally:
-        if helper is not None:
-            helper.close()
 
 
 def train(
@@ -551,19 +525,19 @@ def train(
     run that diverges leaves none; ``record.txt``, written last, marks
     it complete.
 
-    On Linux with two available processes or more, every run forks one
-    helper process (:func:`_step_helper`) before its first scoring.  It
-    scores half of each step's terms, bit for bit (see
+    Every run hands half its work to one :class:`forks.Helper`, forked
+    before the first scoring when two processes are available; without
+    one, this process computes that half through the same job.  The
+    helper scores half of each step's terms, bit for bit (see
     :func:`_train_step`), and half of each scoring: the first half of
     each eval task's patches at every patch scoring, and of the
     validation images at the full scoring.  Dice comes from int64
     confusion counts, whose sums do not depend on their order, so the
     helper's counts added to this process's give the one process's
-    scores.  A dm-a run's helper then scores the second chunk of the
-    Fisher estimate (:func:`task_a_fisher`).  Should the helper fail,
-    this process does its part too.  After the last job the helper's
-    request pipe is closed, so it exits while the run's files are
-    written; it is reaped before ``train`` returns or raises."""
+    scores.  A dm-a run's helper then scores the second half of the
+    Fisher estimate (:func:`task_a_fisher`).  After the last job the
+    helper's request pipe is closed, so it exits while the run's files
+    are written; it is reaped before ``train`` returns or raises."""
     t0 = time.monotonic()
     config.validate()
     rid = run_id(plan.kind, plan.lam, plan.seed, config_digest(config, manifest_text(bank.manifest, bank.config)))
@@ -579,8 +553,9 @@ def train(
         eval_sets = {t.task_id: build_eval_patches(validation, t, config) for t in eval_tasks}
     trained = [(task, data.split(f"train_{task.task_id}")) for task in tasks]
 
-    def patch_counts(task: TaskDef, split: int) -> Array:
-        """Confusion counts of the first ``split`` of ``task``'s eval patches."""
+    def patch_counts(t: int, split: int) -> Array:
+        """Confusion counts of the first ``split`` of eval task ``t``'s patches."""
+        task = eval_tasks[t]
         return metrics.patch_counts(store, task.head, task, eval_sets[task.task_id][:split])
 
     def full_counts(split: int) -> list[Array]:
@@ -589,29 +564,24 @@ def train(
 
     rows: list[MetricRow] = []
 
-    def score(epoch: int, scope: str, helper: Helper | None) -> None:
+    def score(epoch: int, scope: str, helper: Helper) -> None:
         """Append one evaluation's Dice rows, tasks then classes in order;
         full scope scores every task in one pass over the images.  This
         process enters ``metrics.evaluate_model`` once per task at every
-        patch scoring, helper or not."""
+        patch scoring."""
         if scope == "full":
             split = _helper_share(len(validation))
-            if helper is not None and helper.request("full", split):
-                more = partial(helper.reply, partial(full_counts, split))
-            else:
-                split, more = 0, None
-            scores = metrics.evaluate_full(store, eval_tasks, validation[split:], config.tile, more)
+            helper.submit("full", split)
+            scores = metrics.evaluate_full(store, eval_tasks, validation[split:], config.tile, helper.result)
         else:
             splits = [_helper_share(len(eval_sets[task.task_id])) for task in eval_tasks]
-            asked = helper is not None and helper.request("patch", splits)
-            scores = {}
-            for task, split in zip(eval_tasks, splits):
-                if asked:
-                    more = partial(helper.reply, partial(patch_counts, task, split))
-                else:
-                    split, more = 0, None
-                samples = eval_sets[task.task_id][split:]
-                scores[task.task_id] = metrics.evaluate_model(store, task.head, task, samples, scope, more)
+            for t, split in enumerate(splits):
+                helper.submit("patch", t, split)
+            scores = {
+                task.task_id: metrics.evaluate_model(
+                    store, task.head, task, eval_sets[task.task_id][split:], scope, helper.result)
+                for task, split in zip(eval_tasks, splits)
+            }
         rows.extend(
             MetricRow(rid, plan.kind, plan.lam, plan.seed, epoch, scope, task.task_id, name, value)
             for task in eval_tasks
@@ -624,13 +594,13 @@ def train(
     steps = max(-(-len(images) * config.patches_per_image // config.batch_size) for _, images in trained)
     jobs = {
         "step": _step_job(store, plan, config, trained),
-        "patch": lambda splits: map(patch_counts, eval_tasks, splits),
-        "full": lambda split: [full_counts(split)],
-        # a dm-a run's Fisher estimate: its second chunk
+        "patch": patch_counts,
+        "full": full_counts,
+        # a dm-a run's Fisher estimate: its second half
         "fisher": lambda samples: fisher_job(store, *_task_a_inputs(data.split("train_a"), config), samples),
     }
 
-    with _step_helper(store, jobs) as helper:
+    with Helper(jobs, store) as helper:
         score(0, "patch", helper)
         # a diverging step overflows before DivergenceError names its
         # epoch and step; the helper's jobs take the same setting
@@ -653,8 +623,7 @@ def train(
                 score(epoch, "patch", helper)
         score(config.epochs, "full", helper)
         fisher = task_a_fisher(store, data.split("train_a"), config, helper) if plan.kind == "dm-a" else None
-        if helper is not None:
-            helper.finish()  # no job is left: it exits while the files are written
+        helper.finish()  # no job is left: it exits while the files are written
 
         run_dir = Path(run_dir)
         run_dir.mkdir(parents=True, exist_ok=True)
@@ -696,7 +665,7 @@ def task_a_fisher(store: ParamStore, images: list[ScanSample], config: Experimen
     checkpoint and ``ewclab fisher`` recomputes: seed-determined patches
     and, in sampled mode, seed-determined labels.  A dm-a run's
     ``helper``, whose ``fisher`` job scores these same inputs at
-    ``store``, scores the second chunk (see :func:`estimate_fisher`)."""
+    ``store``, scores the second half (see :func:`estimate_fisher`)."""
     data, head, mode, rng_seed = _task_a_inputs(images, config)
     return estimate_fisher(store, data, head, mode=mode, rng_seed=rng_seed, dataset_id="train_a",
                            helper=helper)

@@ -104,12 +104,6 @@ def pooled_counts(pairs, n_classes: int) -> Array:
     return confusion
 
 
-def pooled_dice(pairs, n_classes: int) -> list[float | None]:
-    """Dice per class id from one k x k confusion pooled over every
-    (prediction, truth) pair; None for a class absent from all maps."""
-    return _confusion_dice(pooled_counts(pairs, n_classes), n_classes)
-
-
 def _class_scores(task: TaskDef, scores: list[float | None]) -> dict[str, float]:
     """Foreground class name -> Dice in class order, undefined ones left out."""
     return {

@@ -245,15 +245,24 @@ _GENERATOR_KEYS = {
 }
 
 
+def _seed_list(text: str) -> tuple[int, ...]:
+    """A split's seeds: a comma list of at least one int."""
+    seeds = comma_list(int)(text)
+    if not seeds:
+        raise ValueError("a split needs at least one seed")
+    return seeds
+
+
 def parse_manifest(data: bytes, where: str) -> tuple[SplitManifest, GeneratorConfig]:
     """The splits and generator settings of the manifest ``data`` read
-    from ``where``; a malformed manifest raises :class:`FormatError`."""
+    from ``where``; a malformed manifest, or a split with no seed, raises
+    :class:`FormatError`."""
     fields = {key: value for _, key, value in read_fields(data, FormatError, where)}
     field = partial(parse_field, fields, FormatError, where)
     config = GeneratorConfig(**{
         name: field(key, parse) for key, (name, parse) in _GENERATOR_KEYS.items() if key in fields
     })
-    seeds = [field(f"{split}_seeds", comma_list(int)) for split in SPLITS]
+    seeds = [field(f"{split}_seeds", _seed_list) for split in SPLITS]
     manifest = SplitManifest(*seeds, field("master_seed", int))
     if fields.get("config_hash") not in (None, config.digest()):
         raise FormatError(f"{where}: config_hash does not match its generator fields")

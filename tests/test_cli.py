@@ -126,6 +126,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "train_a_seeds" in err
 
+    @pytest.mark.parametrize("key", ["train_a_seeds", "validation_seeds"])
+    def test_data_split_with_no_seed_exits_1(self, tmp_path, capsys, key):
+        assert run(["generate-data", "--out", str(tmp_path)] + TINY) == 0
+        manifest = tmp_path / "data" / "manifest.txt"
+        manifest.write_text("".join(f"{key}=\n" if line.startswith(f"{key}=") else line
+                                    for line in manifest.read_text().splitlines(True)))
+        capsys.readouterr()
+        code = run(["train", "--regime", "dm-a", "--data-manifest", str(manifest),
+                    "--out", str(tmp_path)] + TINY)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(manifest) in err and key in err
+        assert not (tmp_path / "runs").exists()
+
     def test_damaged_run_directory_exits_2(self, tmp_path, capsys):
         sweep = ["run-experiment", "--regime", "dm-a", "--out", str(tmp_path)] + TINY
         assert run(sweep) == 0

@@ -203,8 +203,8 @@ def open_fds():
 
 @pytest.fixture
 def split(monkeypatch):
-    """``split(procs)`` makes ``estimate_fisher`` use ``procs`` processes
-    from ``procs`` samples on; returns the list its forks append to."""
+    """``split(procs)`` makes ``procs`` cores available to
+    ``estimate_fisher``; returns the list its forks append to."""
     forks = []
     real_fork = os.fork
 
@@ -215,7 +215,6 @@ def split(monkeypatch):
         return pid
 
     def force(procs):
-        monkeypatch.setattr(continual, "FISHER_MIN_CHUNK", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(procs)))
         monkeypatch.setattr(os, "fork", counting_fork)
         return forks
@@ -225,21 +224,36 @@ def split(monkeypatch):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="the Fisher estimate splits on Linux only")
 class TestSplitFisher:
-    def test_chunks(self, monkeypatch):
-        chunks = continual._fisher_chunks
-        least = continual.FISHER_MIN_CHUNK
-        assert chunks(least * 2 - 1) == [range(least * 2 - 1)]
-        for cores in range(1, 9):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-            assert chunks(64) == ([range(0, 32), range(32, 64)] if cores >= 2 else [range(64)])
-            for n in [1, least - 1, least, 2 * least - 1, 2 * least, 3 * least + 1, 100, 256, 257, 1000]:
-                got = chunks(n)
-                assert [i for samples in got for i in samples] == list(range(n))
-                assert all(samples.step == 1 for samples in got)
-                assert 1 <= len(got) <= cores
-                assert len(got) == 1 or min(map(len, got)) >= least
-        monkeypatch.setattr(sys, "platform", "darwin")
-        assert chunks(1000) == [range(1000)]
+    @pytest.mark.parametrize("procs", [1, 2, 3])
+    def test_chunks(self, split, monkeypatch, procs):
+        # this process scores samples [0, n//2) and the helper's job
+        # [n//2, n), whatever the core count; on one core that job runs
+        # here too
+        store = tiny_net(seed=3)
+        parent, asked, scored = os.getpid(), [], []
+        submit, sample_loss = Helper.submit, continual._sample_loss
+
+        def logged_submit(helper, job, *args):
+            asked.append((job, *args))
+            return submit(helper, job, *args)
+
+        def logged_sample_loss(*args):
+            if os.getpid() == parent:
+                scored.append(args[1])
+            return sample_loss(*args)
+
+        monkeypatch.setattr(Helper, "submit", logged_submit)
+        monkeypatch.setattr(continual, "_sample_loss", logged_sample_loss)
+        forks = split(procs)
+        for n in (1, 2, 3, 7):
+            data = two_size_data(n)
+            asked.clear()
+            scored.clear()
+            estimate_fisher(store, data, "taskA")
+            assert asked == [("fisher", range(n // 2, n))]
+            here = list(range(n // 2)) + ([] if procs >= 2 else list(range(n // 2, n)))
+            assert [next(i for i, (patch, _) in enumerate(data) if patch is p) for p in scored] == here
+        assert len(forks) == (4 if procs >= 2 else 0)
 
     @pytest.mark.parametrize("procs", [1, 2, 3])
     @pytest.mark.parametrize("n", [2, 3, 7])
@@ -251,7 +265,7 @@ class TestSplitFisher:
         forks = split(procs)
         fds = open_fds()
         fisher = estimate_fisher(store, data, "taskA", mode=mode, rng_seed=41)
-        assert len(forks) == min(procs, n) - 1
+        assert len(forks) == (procs >= 2)
         assert open_fds() == fds
         assert fisher.values.tobytes() == expected
         assert fisher.provenance.samples == n
@@ -269,66 +283,63 @@ class TestSplitFisher:
         fds = open_fds()
         with pytest.raises(LabelError, match=f"^{re.escape(str(serial.value))}$"):
             estimate_fisher(store, data, "taskA")
-        assert len(forks) == 2
+        assert len(forks) == 1
         assert open_fds() == fds
 
     def test_reply_that_ends_midway_leaves_the_chunk_here(self, split, monkeypatch):
-        # each forked helper's one reply ends half-way: its rows are
-        # dropped, and this process scores that helper's whole chunk
+        # the helper's one reply ends half-way: its rows are dropped, and
+        # this process scores the helper's whole half
         store = tiny_net(seed=3)
         data = two_size_data(7)
         expected = serial_fold(store, data, "sampled", 41)
         forks = split(3)
-        real_reply = Helper.reply
+        real_result = Helper.result
         row_bytes = store.flat().nbytes
         delivered_rows = []
 
-        def cut_reply(helper, own):
-            delivered = helper.replies.read()  # the helper exits once it has replied
-            rows = pickle.loads(delivered)
+        def cut_result(helper):
+            rows = pickle.load(helper.replies)
             assert rows.nbytes == len(rows) * row_bytes
             delivered_rows.append(len(rows))
+            delivered = pickle.dumps(rows, pickle.HIGHEST_PROTOCOL)
             read_cut, write_cut = os.pipe()
             with open(write_cut, "wb") as out:
                 out.write(delivered[:len(delivered) // 2])
             helper.replies.close()
             helper.replies = open(read_cut, "rb")
-            return real_reply(helper, own)
+            return real_result(helper)
 
-        monkeypatch.setattr(Helper, "reply", cut_reply)
+        monkeypatch.setattr(Helper, "result", cut_result)
         fds = open_fds()
         fisher = estimate_fisher(store, data, "taskA", mode="sampled", rng_seed=41)
-        assert len(forks) == 2
-        assert delivered_rows == [2, 3]  # the chunks are samples 0-1, 2-3 and 4-6
+        assert len(forks) == 1
+        assert delivered_rows == [4]  # the helper's half: samples 3-6
         assert fisher.values.tobytes() == expected
         assert open_fds() == fds
 
     @pytest.mark.parametrize("alive", [True, False])
     @pytest.mark.parametrize("mode", ["empirical", "sampled"])
-    def test_a_given_helper_scores_the_second_chunk_whatever_its_size(self, monkeypatch, mode, alive):
-        # a run's helper is forked already, so 7 samples split in two on
-        # two cores, although FISHER_MIN_CHUNK asks for 64; a dead helper
-        # leaves its chunk here
+    def test_a_given_helper_scores_the_second_half(self, split, monkeypatch, mode, alive):
+        # a run's helper scores samples 3-6 of 7, and this process forks
+        # none; a dead helper leaves its half here
         store = tiny_net(seed=3)
         data = two_size_data(7)
         expected = serial_fold(store, data, mode, 41)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        forks = split(3)
         fds = open_fds()
-        helper = Helper({"fisher": partial(continual.fisher_job, store, data, "taskA", mode, 41)})
-        asked, request = [], Helper.request
+        asked, submit = [], Helper.submit
 
-        def logged_request(helper, job, *args):
+        def logged_submit(helper, job, *args):
             asked.append((job, *args))
-            return request(helper, job, *args)
+            return submit(helper, job, *args)
 
-        monkeypatch.setattr(Helper, "request", logged_request)
-        try:
+        monkeypatch.setattr(Helper, "submit", logged_submit)
+        with Helper({"fisher": partial(continual.fisher_job, store, data, "taskA", mode, 41)}) as helper:
             if not alive:
                 helper.alive = False
             fisher = estimate_fisher(store, data, "taskA", mode=mode, rng_seed=41, helper=helper)
             assert helper.alive == alive
-        finally:
-            helper.close()
+        assert len(forks) == 1
         assert asked == [("fisher", range(3, 7))]
         assert fisher.values.tobytes() == expected
         assert open_fds() == fds
@@ -366,8 +377,7 @@ class TestSplitFisher:
             import numpy as np
             from ewclab import continual
             from ewclab.network import NetworkSpec, init_network
-            continual.FISHER_MIN_CHUNK = 1
-            os.sched_getaffinity = lambda pid: {0, 1, 2}
+            os.sched_getaffinity = lambda pid: {0, 1}
             store = init_network(NetworkSpec(in_channels=1, trunk=(3,), heads={"taskA": 2}), seed=0)
             rng = np.random.default_rng(0)
             data = [(rng.normal(size=(1, 5, 5)), rng.integers(0, 2, size=9)) for _ in range(3)]

@@ -363,7 +363,7 @@ def split_steps(monkeypatch):
 
     def checked_estimate_fisher(*args, helper=None, **kwargs):
         alive = [pid for pid in forks if pid not in forks.exit_codes]
-        assert alive == ([] if helper is None else [helper.pid]), \
+        assert alive == ([] if helper.pid is None else [helper.pid]), \
             f"children {alive} alive as the Fisher estimate begins"
         forks.fishers += 1
         return estimate_fisher(*args, helper=helper, **kwargs)
@@ -404,7 +404,8 @@ class TestStreamedStep:
         ("ewc", 150.0), ("ewc", 0.0), ("l2", 1.0), ("finetune", 0.0), ("multitask", 0.0),
     ])
     def test_bitwise_equal_to_the_one_graph_step(self, unequal, kind, lam, split_steps):
-        # the step in one process, and split with a helper process
+        # the step with an unforked helper (its half scored here) and
+        # with a forked one
         config, checkpoint = unequal
         bank = SampleBank(*load_data(config))
         plan = build_regime(kind, lam, 1, checkpoint if REGIMES[kind].sequential else None,
@@ -413,34 +414,35 @@ class TestStreamedStep:
         stores = [ParamStore(plan.store, spec=plan.store.spec) for _ in range(2)]
         v_oracle, velocities = {}, [{}, {}]
         trained = [(task, images) for task, images, _ in epoch_work(plan, config, bank, 1)[0]]
-        forks = split_steps()
         sizes = set()
-        jobs = {"step": harness._step_job(stores[1], plan, config, trained)}
-        with harness._step_helper(stores[1], jobs) as helper:
-            assert len(forks) == 1
-            for epoch in (1, 2):
-                for step, work in enumerate(epoch_work(plan, config, bank, epoch)):
-                    sizes.update(len(batch) for _, _, batch in work)
-                    o_loss, o_total, o_grads = one_graph_step(oracle, plan, work, config)
-                    for store, velocity, step_helper in zip(stores, velocities, (None, helper)):
-                        loss, total, grads = harness._train_step(store, plan, work, config, epoch, step,
-                                                                 step_helper)
-                        assert (loss.hex(), total.hex()) == (o_loss.hex(), o_total.hex())
-                        for name, grad in o_grads.items():
-                            if name in grads:
-                                assert grads[name].tobytes() == grad.tobytes(), name
-                            else:  # no term reached it
-                                assert not grad.any(), name
-                        unreached = set(o_grads) - set(grads)
-                        assert unreached == ({"head.taskA.weights", "head.taskA.bias"}
-                                             if kind == "finetune" else set())
-                        # a missing entry updates as a zero gradient does
-                        network.sgd_update(store, grads, velocity, config.learning_rate, config.momentum)
-                    network.sgd_update(oracle, o_grads, v_oracle, config.learning_rate, config.momentum)
-                    for name in oracle:
-                        for store in stores:
-                            assert store[name].tobytes() == oracle[name].tobytes(), name
-            assert helper.alive
+        jobs = [{"step": harness._step_job(store, plan, config, trained)} for store in stores]
+        with Helper(jobs[0], stores[0]) as unforked:
+            forks = split_steps()
+            with Helper(jobs[1], stores[1]) as forked:
+                assert unforked.pid is None and len(forks) == 1
+                for epoch in (1, 2):
+                    for step, work in enumerate(epoch_work(plan, config, bank, epoch)):
+                        sizes.update(len(batch) for _, _, batch in work)
+                        o_loss, o_total, o_grads = one_graph_step(oracle, plan, work, config)
+                        for store, velocity, helper in zip(stores, velocities, (unforked, forked)):
+                            loss, total, grads = harness._train_step(store, plan, work, config, epoch, step,
+                                                                     helper)
+                            assert (loss.hex(), total.hex()) == (o_loss.hex(), o_total.hex())
+                            for name, grad in o_grads.items():
+                                if name in grads:
+                                    assert grads[name].tobytes() == grad.tobytes(), name
+                                else:  # no term reached it
+                                    assert not grad.any(), name
+                            unreached = set(o_grads) - set(grads)
+                            assert unreached == ({"head.taskA.weights", "head.taskA.bias"}
+                                                 if kind == "finetune" else set())
+                            # a missing entry updates as a zero gradient does
+                            network.sgd_update(store, grads, velocity, config.learning_rate, config.momentum)
+                        network.sgd_update(oracle, o_grads, v_oracle, config.learning_rate, config.momentum)
+                        for name in oracle:
+                            for store in stores:
+                                assert store[name].tobytes() == oracle[name].tobytes(), name
+                assert forked.alive
         assert sizes == {2, 4}  # full batches and a short last one
         if kind == "multitask":
             assert len(epoch_work(plan, config, bank, 1)) == 3  # task A has 2 batches
@@ -564,28 +566,27 @@ class TestStreamedStep:
         assert list(forks.exit_codes.values()) == [0]
         assert run_files(tmp_path / "split") == run_files(tmp_path / "serial")
 
-    def test_a_dm_a_run_forks_once_and_its_helper_scores_the_second_chunk(self, tmp_path, monkeypatch,
-                                                                         split_steps):
-        # 8 Fisher samples, a quarter of FISHER_MIN_CHUNK: the run's
-        # helper is forked already, so it scores samples 4-7
+    def test_a_dm_a_run_forks_once_and_its_helper_scores_the_second_half(self, tmp_path, monkeypatch,
+                                                                        split_steps):
+        # 8 Fisher samples: the run's helper scores samples 4-7
         config = tiny_config(tmp_path)
         plan = build_regime("dm-a", 0.0, 1, trunk=config.trunk)
         bank = SampleBank(*load_data(config))
         train(plan, config, bank, tmp_path / "serial")
         parent, asked, scored = os.getpid(), [], []
-        request, sample_loss = Helper.request, continual._sample_loss
+        submit, sample_loss = Helper.submit, continual._sample_loss
 
-        def logged_request(helper, job, *args):
+        def logged_submit(helper, job, *args):
             asked.append(job)
             if job == "fisher":
                 assert args == (range(4, 8),)
-            return request(helper, job, *args)
+            return submit(helper, job, *args)
 
         def logged_sample_loss(*args):
             scored.append(os.getpid())
             return sample_loss(*args)
 
-        monkeypatch.setattr(Helper, "request", logged_request)
+        monkeypatch.setattr(Helper, "submit", logged_submit)
         monkeypatch.setattr(continual, "_sample_loss", logged_sample_loss)
         forks = split_steps()
         train(plan, config, bank, tmp_path / "split")
@@ -593,44 +594,32 @@ class TestStreamedStep:
         assert list(forks.exit_codes.values()) == [0]
         assert forks.fishers == 1
         assert asked[-1] == "fisher" and asked.count("fisher") == 1
-        assert scored == [parent] * 4  # the first chunk, here
+        assert scored == [parent] * 4  # the first half, here
         assert run_files(tmp_path / "split") == run_files(tmp_path / "serial")
 
-    def test_three_cores_fork_the_helper_and_one_fisher_helper_and_reap_both(self, tmp_path, monkeypatch,
-                                                                              split_steps):
-        # the Fisher's 8 samples split in three: here, the run's helper and
-        # a helper forked for the third chunk, which closes its copies of
-        # the run helper's pipe ends (or that helper would miss its EOF)
+    def test_three_cores_still_fork_one_process_per_dm_a_run(self, tmp_path, monkeypatch, split_steps):
+        # the run's helper scores the Fisher's second half: a third core
+        # forks nothing more
         config = tiny_config(tmp_path)
         plan = build_regime("dm-a", 0.0, 1, trunk=config.trunk)
         bank = SampleBank(*load_data(config))
         train(plan, config, bank, tmp_path / "serial")
-        fisher_job = continual.fisher_job
-
-        def checked_fisher_job(*args):
-            for other in Helper.live:  # this process's copy: the run's helper
-                for pipe in (other.requests, other.replies):
-                    try:
-                        os.fstat(pipe.fileno())
-                    except OSError:
-                        continue
-                    os._exit(7)  # a pipe end of the run's helper is open here
-            return fisher_job(*args)
-
-        monkeypatch.setattr(continual, "fisher_job", checked_fisher_job)
-        monkeypatch.setattr(continual, "FISHER_MIN_CHUNK", 1)
         forks = split_steps()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         fds = open_fds()
         train(plan, config, bank, tmp_path / "split")
-        assert len(forks) == 2
-        assert list(forks.exit_codes.values()) == [0, 0]
+        assert len(forks) == 1
+        assert list(forks.exit_codes.values()) == [0]
+        assert forks.fishers == 1
         assert open_fds() == fds
         assert run_files(tmp_path / "split") == run_files(tmp_path / "serial")
 
-    def test_run_files_are_pinned(self, tmp_path):
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_run_files_are_pinned(self, tmp_path, monkeypatch, cores):
         # digests computed with the one-graph step of the same numeric
-        # core (CORE_VERSION 2); a BLAS that rounds differently moves them
+        # core (CORE_VERSION 2); a BLAS that rounds differently moves
+        # them.  One core runs the helper's jobs here, two fork it.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
         config = tiny_config(tmp_path, regime="multitask,ewc", train_b_count=5, **{"lambda": "150"})
         records = {r.regime: r for r in run_experiment(config)}
         digests = {}

@@ -7,13 +7,14 @@ import pytest
 
 from ewclab.errors import DimensionError, HeadError
 from ewclab.metrics import (
+    _confusion_dice,
     dice,
     evaluate_full,
     evaluate_model,
     full_counts,
     interior,
     patch_counts,
-    pooled_dice,
+    pooled_counts,
     predict_full,
     predict_full_heads,
 )
@@ -60,6 +61,11 @@ class TestDice:
             dice(np.zeros((2, 2)), np.zeros((3, 2)), 0)
 
 
+def pooled_scores(pairs, n_classes):
+    """Dice per class id from the confusion counts pooled over ``pairs``."""
+    return _confusion_dice(pooled_counts(pairs, n_classes), n_classes)
+
+
 class TestPooling:
     def test_pooled_differs_from_mean_of_per_image(self):
         # image 1: tiny overlap; image 2: large exact match.  Pooled Dice
@@ -68,7 +74,7 @@ class TestPooling:
         truth1 = np.array([[0, 1], [0, 0]])
         pred2 = np.ones((4, 4), dtype=np.int64)
         truth2 = np.ones((4, 4), dtype=np.int64)
-        pooled = pooled_dice([(pred1, truth1), (pred2, truth2)], 2)
+        pooled = pooled_scores([(pred1, truth1), (pred2, truth2)], 2)
         # hand count: TP=16, FP=1, FN=1 -> 32/34
         assert pooled[1] == pytest.approx(32.0 / 34.0)
         per_image_mean = (dice(pred1, truth1, 1) + dice(pred2, truth2, 1)) / 2.0
@@ -79,7 +85,7 @@ class TestPooling:
         rng = np.random.default_rng(3)
         preds = [rng.integers(0, 3, size=(5, 5)) for _ in range(4)]
         truths = [rng.integers(0, 3, size=(5, 5)) for _ in range(4)]
-        pooled = pooled_dice(zip(preds, truths), 3)
+        pooled = pooled_scores(zip(preds, truths), 3)
         big_p = np.concatenate([p.reshape(-1) for p in preds])
         big_t = np.concatenate([t.reshape(-1) for t in truths])
         assert pooled == [dice(big_p, big_t, c) for c in range(3)]
@@ -87,11 +93,11 @@ class TestPooling:
     def test_class_absent_everywhere_is_undefined(self):
         pred = np.array([[0, 2], [2, 0]])
         truth = np.array([[0, 0], [2, 2]], dtype=np.uint8)
-        assert pooled_dice([(pred, truth)], 3) == [0.5, None, 0.5]
+        assert pooled_scores([(pred, truth)], 3) == [0.5, None, 0.5]
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            pooled_dice([(np.zeros((2, 2), dtype=int), np.zeros((3, 2), dtype=int))], 2)
+            pooled_counts([(np.zeros((2, 2), dtype=int), np.zeros((3, 2), dtype=int))], 2)
 
 
 class TestEvaluateModel:
@@ -106,7 +112,7 @@ class TestEvaluateModel:
         # bypass the net: feed predictions equal to truth through the
         # pooled-count path by evaluating dice on identical maps
         truth = interior(self.samples[0].labels_a, self.margin)
-        pooled = pooled_dice([(truth, truth)], 4)
+        pooled = pooled_scores([(truth, truth)], 4)
         assert pooled == [dice(truth, truth, c) for c in range(4)]
         assert set(pooled) <= {None, 1.0}
 
@@ -169,7 +175,7 @@ class TestEvaluateModel:
                 (predict_full(store, task.head, s.channels, tile=tile), interior(task.labels_of(s), self.margin))
                 for s in samples
             ]
-            reference = pooled_dice(pairs, task.n_classes)
+            reference = pooled_scores(pairs, task.n_classes)
             expect = {task.class_names[c]: v for c, v in enumerate(reference) if c > 0 and v is not None}
             assert scores[task.task_id] == expect
             assert evaluate_full(store, [task], samples, tile=tile) == {task.task_id: expect}

@@ -125,6 +125,17 @@ class TestDatasetFiles:
         with pytest.raises(FormatError, match="config_hash"):
             parse_manifest(text.encode(), "manifest.txt")
 
+    @pytest.mark.parametrize("split", ["train_a", "train_b", "validation"])
+    def test_split_with_no_seed_names_the_file_and_key(self, split):
+        # a comma list drops empty items, so "1,,2" parses but "" or ","
+        # would leave the split with no image
+        m = make_splits((2, 2, 2), 17)
+        for empty in ("", " , "):
+            text = "".join(f"{split}_seeds={empty}\n" if line.startswith(f"{split}_seeds=") else line
+                           for line in manifest_text(m, CONFIG).splitlines(True))
+            with pytest.raises(FormatError, match=f"^data/manifest.txt: key '{split}_seeds': "):
+                parse_manifest(text.encode(), "data/manifest.txt")
+
     def test_image_export(self, tmp_path):
         m = make_splits((1, 1, 1), 5)
         write_dataset(tmp_path, m, CONFIG, images=True)

@@ -19,6 +19,11 @@ and ``plot``.
 Two trees write the same bytes when their listings are identical.  Give
 both the same OUT path (move the first OUT away before the second run):
 ``config.txt`` records the absolute output path.
+
+With two cores or more, every run forks its one helper process.  Take
+the one-core listing, in which each helper's half is computed in the
+calling process, with ``taskset -c 0 python tools/cli_digests.py OUT``:
+it must equal the two-core listing.
 """
 
 from __future__ import annotations
